@@ -71,7 +71,6 @@ void BM_AndPopcountBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_AndPopcountBackend)
     ->ArgsProduct({{static_cast<int>(bit::KernelBackend::kScalar),
-                    static_cast<int>(bit::KernelBackend::kSwar64x4),
                     static_cast<int>(bit::KernelBackend::kAvx2),
                     static_cast<int>(bit::KernelBackend::kAvx512Vpopcnt),
                     static_cast<int>(bit::KernelBackend::kNeon)},

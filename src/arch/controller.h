@@ -61,11 +61,10 @@ struct ExecStats {
   /// multiplier; core::TcimAccelerator owns that interpretation).
   std::uint64_t accumulated_bitcount = 0;
 
-  /// Host-kernel adaptive-policy routing (bit::PairPathCounters): how
-  /// many valid pairs each kernel path consumed on the host Eq. (5)
-  /// paths. Always zero for hardware-model runs — the simulated array
-  /// never routes through the host dispatch.
-  std::uint64_t host_pairs_batched = 0;
+  /// Host-kernel routing (bit::PairPathCounters): how many valid pairs
+  /// each kernel path consumed on the host Eq. (5) paths. Always zero
+  /// for hardware-model runs — the simulated array never routes
+  /// through the host dispatch.
   std::uint64_t host_pairs_zero_copy = 0;
   std::uint64_t host_pairs_per_pair = 0;
 

@@ -36,23 +36,19 @@ using AndFn = std::uint64_t (*)(const std::uint64_t*, const std::uint64_t*,
                                 std::size_t);
 
 // ---------------------------------------------------------------------------
-// kScalar: the reference loop. Two bodies: one compiled for the
-// baseline ISA, one with the POPCNT instruction enabled — detection
-// picks at process start, so "scalar" means "one word per iteration",
-// not "crippled libcall popcount".
+// kScalar: one word per iteration. Two bodies, picked at process
+// start by what the CPU counts bits with: a hardware popcount (x86
+// POPCNT when detection finds it, AArch64's baseline CNT, which
+// std::popcount lowers to), and otherwise the quad-SWAR span kernel
+// (popcount.h, AndPopcountSwar) — without a popcount instruction
+// std::popcount becomes a per-word libcall the SWAR body beats ~2.5x.
 
-std::uint64_t AndScalarGeneric(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
+#if TCIM_KERNEL_HAVE_X86 || TCIM_KERNEL_HAVE_NEON
 #if TCIM_KERNEL_HAVE_X86
-__attribute__((target("popcnt"))) std::uint64_t AndScalarPopcnt(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+__attribute__((target("popcnt")))
+#endif
+std::uint64_t AndScalarPopcount(const std::uint64_t* a, const std::uint64_t* b,
+                                std::size_t n) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     total += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
@@ -60,47 +56,6 @@ __attribute__((target("popcnt"))) std::uint64_t AndScalarPopcnt(
   return total;
 }
 #endif
-
-// ---------------------------------------------------------------------------
-// kSwar64x4: four words share one SWAR reduction pipeline. Each word is
-// reduced to per-byte counts (three shift/mask stages), the four byte-
-// count words are summed vertically (bytes reach at most 4*8 = 32, so
-// no carry crosses a byte lane), and ONE shared horizontal fold
-// replaces the four multiply+shift reductions the previous formulation
-// paid per quad — that multiply chain is what put it at 0.39–0.45x
-// scalar in the schema-v1 seed. Even so, this backend is formally the
-// no-POPCNT *fallback*: with a hardware popcount instruction the
-// scalar backend beats any SWAR formulation, and auto-dispatch never
-// selects kSwar64x4 when ScalarHasPopcntInstruction() (tested).
-
-std::uint64_t AndSwar64x4(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t n) {
-  constexpr std::uint64_t k1 = 0x5555555555555555ULL;
-  constexpr std::uint64_t k2 = 0x3333333333333333ULL;
-  constexpr std::uint64_t k4 = 0x0F0F0F0F0F0F0F0FULL;
-  const auto byte_counts = [](std::uint64_t x) {
-    x = x - ((x >> 1) & k1);
-    x = (x & k2) + ((x >> 2) & k2);
-    return (x + (x >> 4)) & k4;
-  };
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    std::uint64_t s = byte_counts(a[i] & b[i]) +
-                      byte_counts(a[i + 1] & b[i + 1]) +
-                      byte_counts(a[i + 2] & b[i + 2]) +
-                      byte_counts(a[i + 3] & b[i + 3]);
-    // Horizontal byte sum. Bytes of s reach 32, so fold through 16-bit
-    // lanes; the classic multiply trick would overflow its top byte at
-    // the all-ones quad (256 > 255).
-    s = (s & 0x00FF00FF00FF00FFULL) + ((s >> 8) & 0x00FF00FF00FF00FFULL);
-    total += (s * 0x0001000100010001ULL) >> 48;
-  }
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(PopcountSwar(a[i] & b[i]));
-  }
-  return total;
-}
 
 // ---------------------------------------------------------------------------
 // kAvx2: Harley–Seal carry-save popcount (Muła, Kurz & Lemire, "Faster
@@ -260,7 +215,6 @@ std::uint64_t AndNeon(const std::uint64_t* a, const std::uint64_t* b,
 bool CpuSupports(KernelBackend backend) noexcept {
   switch (backend) {
     case KernelBackend::kScalar:
-    case KernelBackend::kSwar64x4:
       return true;
     case KernelBackend::kAvx2:
 #if TCIM_KERNEL_HAVE_X86
@@ -285,13 +239,11 @@ AndFn ResolveFn(KernelBackend backend) noexcept {
   switch (backend) {
     case KernelBackend::kScalar:
 #if TCIM_KERNEL_HAVE_X86
-      return __builtin_cpu_supports("popcnt") != 0 ? &AndScalarPopcnt
-                                                   : &AndScalarGeneric;
-#else
-      return &AndScalarGeneric;
+      if (__builtin_cpu_supports("popcnt") != 0) return &AndScalarPopcount;
+#elif TCIM_KERNEL_HAVE_NEON
+      return &AndScalarPopcount;
 #endif
-    case KernelBackend::kSwar64x4:
-      return &AndSwar64x4;
+      return &AndPopcountSwar;
     case KernelBackend::kAvx2:
 #if TCIM_KERNEL_HAVE_X86
       return &AndAvx2HarleySeal;
@@ -315,8 +267,8 @@ AndFn ResolveFn(KernelBackend backend) noexcept {
 }
 
 constexpr std::array<KernelBackend, kNumKernelBackends> kAllBackends = {
-    KernelBackend::kScalar, KernelBackend::kSwar64x4, KernelBackend::kAvx2,
-    KernelBackend::kAvx512Vpopcnt, KernelBackend::kNeon};
+    KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512Vpopcnt,
+    KernelBackend::kNeon};
 
 struct DispatchTable {
   std::array<AndFn, kNumKernelBackends> fn{};
@@ -345,7 +297,7 @@ KernelBackend ResolveFromEnv() {
   if (!parsed.has_value()) {
     std::fprintf(stderr,
                  "tcim: TCIM_KERNEL='%s' is not a known backend "
-                 "(scalar|swar64x4|avx2|avx512vpopcnt|neon|auto); "
+                 "(scalar|avx2|avx512vpopcnt|neon|auto); "
                  "using auto dispatch\n",
                  raw.c_str());
     return BestSupportedBackend();
@@ -420,37 +372,12 @@ std::uint64_t RunPairsZeroCopy(AndFn fn,
   return total;
 }
 
-// Forced-policy slot for TCIM_PAIR_POLICY / SetActivePairPolicy.
-// 0 = auto (adaptive rule decides); 1 + enum = forced.
-constexpr std::uint8_t kPolicyAuto = 0;
-
-std::uint8_t ResolvePolicyFromEnv() {
-  const std::string raw = util::EnvString("TCIM_PAIR_POLICY", "");
-  if (raw.empty() || raw == "auto") return kPolicyAuto;
-  const std::optional<PairPolicy> parsed = ParsePairPolicy(raw);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr,
-                 "tcim: TCIM_PAIR_POLICY='%s' is not a known policy "
-                 "(batched|zerocopy|perpair|auto); using auto\n",
-                 raw.c_str());
-    return kPolicyAuto;
-  }
-  return static_cast<std::uint8_t>(1 + static_cast<std::uint8_t>(*parsed));
-}
-
-std::atomic<std::uint8_t>& PolicySlot() noexcept {
-  static std::atomic<std::uint8_t> slot{ResolvePolicyFromEnv()};
-  return slot;
-}
-
 }  // namespace
 
 const char* ToString(KernelBackend backend) noexcept {
   switch (backend) {
     case KernelBackend::kScalar:
       return "scalar";
-    case KernelBackend::kSwar64x4:
-      return "swar64x4";
     case KernelBackend::kAvx2:
       return "avx2";
     case KernelBackend::kAvx512Vpopcnt:
@@ -464,7 +391,6 @@ const char* ToString(KernelBackend backend) noexcept {
 std::optional<KernelBackend> ParseKernelBackend(
     std::string_view name) noexcept {
   if (name == "scalar") return KernelBackend::kScalar;
-  if (name == "swar64x4" || name == "swar") return KernelBackend::kSwar64x4;
   if (name == "avx2") return KernelBackend::kAvx2;
   if (name == "avx512vpopcnt" || name == "avx512") {
     return KernelBackend::kAvx512Vpopcnt;
@@ -496,33 +422,19 @@ bool BackendCompiledIn(KernelBackend backend) noexcept {
   return i < kNumKernelBackends && Table().fn[i] != nullptr;
 }
 
-bool ScalarHasPopcntInstruction() noexcept {
-#if TCIM_KERNEL_HAVE_X86
-  return __builtin_cpu_supports("popcnt") != 0;
-#else
-  // AArch64 has CNT in the baseline ISA; std::popcount lowers to it.
-  return TCIM_KERNEL_HAVE_NEON != 0;
-#endif
-}
-
 bool BackendSupported(KernelBackend backend) noexcept {
   const auto i = static_cast<std::size_t>(backend);
   return i < kNumKernelBackends && Table().supported[i];
 }
 
 KernelBackend BestSupportedBackend() noexcept {
-  // Widest first; kSwar64x4 never wins auto-dispatch over kScalar when
-  // the CPU has POPCNT, and on machines without it the SWAR unroll is
-  // exactly what you want — hence the tie-break order below.
+  // Widest first; kScalar (always supported) is the fallback.
   if (BackendSupported(KernelBackend::kAvx512Vpopcnt)) {
     return KernelBackend::kAvx512Vpopcnt;
   }
   if (BackendSupported(KernelBackend::kAvx2)) return KernelBackend::kAvx2;
   if (BackendSupported(KernelBackend::kNeon)) return KernelBackend::kNeon;
-#if TCIM_KERNEL_HAVE_X86
-  if (__builtin_cpu_supports("popcnt") != 0) return KernelBackend::kScalar;
-#endif
-  return KernelBackend::kSwar64x4;
+  return KernelBackend::kScalar;
 }
 
 KernelBackend ActiveBackend() noexcept {
@@ -578,33 +490,6 @@ std::uint64_t PopcountWordsActive(const std::uint64_t* words,
   return AndPopcountActive(words, words, n);
 }
 
-void PairArena::Grow(std::size_t need) {
-  // Doubling keeps the amortized Push cost O(width); 256 words floors
-  // the first allocation above the typical single-vector gather.
-  std::size_t capacity = a_.size() < 256 ? 256 : a_.size() * 2;
-  if (capacity < need) capacity = need;
-  a_.resize(capacity);
-  b_.resize(capacity);
-}
-
-std::uint64_t AndPopcountPairs(const PairArena& arena) noexcept {
-  // The gathered blocks are one long span each: pair boundaries do not
-  // affect the sum, so this is a single active-backend span call.
-  return AndPopcountActive(arena.a().data(), arena.b().data(),
-                           arena.word_count());
-}
-
-std::uint64_t AndPopcountPairsBackend(const PairArena& arena,
-                                      KernelBackend backend) {
-  if (!BackendSupported(backend)) {
-    throw std::invalid_argument(
-        std::string("AndPopcountPairsBackend: backend '") + ToString(backend) +
-        "' is not supported on this machine");
-  }
-  return Table().fn[static_cast<std::size_t>(backend)](
-      arena.a().data(), arena.b().data(), arena.word_count());
-}
-
 std::uint64_t AndPopcountPairsZeroCopy(
     std::span<const PairRef> pairs) noexcept {
   const auto i =
@@ -621,68 +506,6 @@ std::uint64_t AndPopcountPairsZeroCopyBackend(std::span<const PairRef> pairs,
   }
   return RunPairsZeroCopy(Table().fn[static_cast<std::size_t>(backend)],
                           pairs);
-}
-
-const char* ToString(PairPolicy policy) noexcept {
-  switch (policy) {
-    case PairPolicy::kBatched:
-      return "batched";
-    case PairPolicy::kZeroCopy:
-      return "zerocopy";
-    case PairPolicy::kPerPair:
-      return "perpair";
-  }
-  return "unknown";
-}
-
-std::optional<PairPolicy> ParsePairPolicy(std::string_view name) noexcept {
-  if (name == "batched") return PairPolicy::kBatched;
-  if (name == "zerocopy" || name == "zero_copy" || name == "zero-copy") {
-    return PairPolicy::kZeroCopy;
-  }
-  if (name == "perpair" || name == "per_pair" || name == "per-pair") {
-    return PairPolicy::kPerPair;
-  }
-  return std::nullopt;
-}
-
-PairPolicy ChoosePairPolicy(std::size_t width_words, std::size_t pair_count,
-                            const PairPolicyConfig& cfg) noexcept {
-  if (cfg.forced.has_value()) return *cfg.forced;
-  if (width_words >= cfg.zero_copy_min_width) return PairPolicy::kZeroCopy;
-  if (pair_count < cfg.batched_min_pairs) return PairPolicy::kZeroCopy;
-  return PairPolicy::kBatched;
-}
-
-bool ChooseDirectPairLoop(std::size_t width_words, std::uint64_t store_bytes,
-                          double avg_valid_slices,
-                          const PairPolicyConfig& cfg) noexcept {
-  if (cfg.forced.has_value()) return false;
-  return width_words >= cfg.direct_min_width &&
-         store_bytes > cfg.direct_min_store_bytes &&
-         avg_valid_slices <= cfg.direct_max_avg_valid_slices;
-}
-
-PairPolicyConfig ActivePairPolicy() noexcept {
-  PairPolicyConfig cfg;
-  const std::uint8_t slot = PolicySlot().load(std::memory_order_relaxed);
-  if (slot != kPolicyAuto) {
-    cfg.forced = static_cast<PairPolicy>(slot - 1);
-  }
-  return cfg;
-}
-
-void SetActivePairPolicy(std::optional<PairPolicy> forced) noexcept {
-  PolicySlot().store(
-      forced.has_value()
-          ? static_cast<std::uint8_t>(1 + static_cast<std::uint8_t>(*forced))
-          : kPolicyAuto,
-      std::memory_order_relaxed);
-}
-
-PairPolicyConfig RefreshPairPolicyFromEnv() {
-  PolicySlot().store(ResolvePolicyFromEnv(), std::memory_order_relaxed);
-  return ActivePairPolicy();
 }
 
 }  // namespace tcim::bit

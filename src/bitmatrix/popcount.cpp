@@ -39,6 +39,40 @@ const std::array<std::uint8_t, 65536>& Lut16() {
 
 }  // namespace
 
+std::uint64_t AndPopcountSwar(const std::uint64_t* a, const std::uint64_t* b,
+                              std::size_t n) noexcept {
+  // Each word is reduced to per-byte counts (three shift/mask stages),
+  // four byte-count words are summed vertically (bytes reach at most
+  // 4*8 = 32, so no carry crosses a byte lane), and ONE shared
+  // horizontal fold replaces the four multiply+shift reductions a
+  // per-word PopcountSwar pays.
+  constexpr std::uint64_t k1 = 0x5555555555555555ULL;
+  constexpr std::uint64_t k2 = 0x3333333333333333ULL;
+  constexpr std::uint64_t k4 = 0x0F0F0F0F0F0F0F0FULL;
+  const auto byte_counts = [](std::uint64_t x) {
+    x = x - ((x >> 1) & k1);
+    x = (x & k2) + ((x >> 2) & k2);
+    return (x + (x >> 4)) & k4;
+  };
+  std::uint64_t total = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    std::uint64_t s = byte_counts(a[i] & b[i]) +
+                      byte_counts(a[i + 1] & b[i + 1]) +
+                      byte_counts(a[i + 2] & b[i + 2]) +
+                      byte_counts(a[i + 3] & b[i + 3]);
+    // Horizontal byte sum. Bytes of s reach 32, so fold through 16-bit
+    // lanes; the classic multiply trick would overflow its top byte at
+    // the all-ones quad (256 > 255).
+    s = (s & 0x00FF00FF00FF00FFULL) + ((s >> 8) & 0x00FF00FF00FF00FFULL);
+    total += (s * 0x0001000100010001ULL) >> 48;
+  }
+  for (; i < n; ++i) {
+    total += static_cast<std::uint64_t>(PopcountSwar(a[i] & b[i]));
+  }
+  return total;
+}
+
 int PopcountLut8(std::uint64_t x) noexcept {
   ++t_lut8_invocations;
   // Eight byte lookups summed pairwise — mirrors the hardware adder
@@ -88,6 +122,9 @@ std::uint64_t PopcountWords(std::span<const std::uint64_t> words,
     // Host fast path: the active SIMD kernel backend.
     return PopcountWordsActive(words.data(), words.size());
   }
+  if (kind == PopcountKind::kSwar) {
+    return AndPopcountSwar(words.data(), words.data(), words.size());
+  }
   std::uint64_t total = 0;
   for (const std::uint64_t w : words) {
     total += static_cast<std::uint64_t>(Popcount(w, kind));
@@ -103,6 +140,9 @@ std::uint64_t AndPopcount(std::span<const std::uint64_t> a,
     // Host fast path: the active SIMD kernel backend. The hardware-
     // model strategies below keep the exact per-word loop instead.
     return AndPopcountActive(a.data(), b.data(), n);
+  }
+  if (kind == PopcountKind::kSwar) {
+    return AndPopcountSwar(a.data(), b.data(), n);
   }
   std::uint64_t total = 0;
   for (std::size_t k = 0; k < n; ++k) {

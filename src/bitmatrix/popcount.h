@@ -12,11 +12,11 @@
 // backend (kernel_backend.h) — the vectorized host stand-in for the
 // in-MRAM AND+BitCount unit. A per-slice-pair AndPopcount call pays
 // the whole dispatch bill for a 1–8 word payload, so the Eq. (5) hot
-// paths gather their pairs and use the batched form instead
-// (bit::PairArena + bit::AndPopcountPairs; see docs/KERNELS.md,
-// "Dispatch cost and batching"). The hardware-model strategies (kSwar,
-// kLut8, kLut16) always run the exact per-word loop so pim::BitCounter
-// and the ablations stay faithful to the modeled structure.
+// paths gather their pairs as in-place descriptors and use the
+// zero-copy pair kernel instead (bit::AndPopcountPairsZeroCopy; see
+// docs/KERNELS.md). The hardware-model strategies (kSwar, kLut8,
+// kLut16) never route through that dispatch, so pim::BitCounter and
+// the ablations stay faithful to the modeled structure.
 //
 // Layer: §5 bitmatrix — see docs/ARCHITECTURE.md and docs/KERNELS.md.
 #pragma once
@@ -43,6 +43,14 @@ enum class PopcountKind : std::uint8_t {
   x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
   return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
 }
+
+/// Σ popcount(a[k] & b[k]) over n words with the SWAR reduction, four
+/// words sharing one horizontal fold — the span kernel of
+/// PopcountKind::kSwar, and the kScalar backend's body on CPUs without
+/// a popcount instruction (kernel_backend.h).
+[[nodiscard]] std::uint64_t AndPopcountSwar(const std::uint64_t* a,
+                                            const std::uint64_t* b,
+                                            std::size_t n) noexcept;
 
 /// Per-byte LUT popcount — the software twin of the paper's 8-256 LUT
 /// bit counter module.

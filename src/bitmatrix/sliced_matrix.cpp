@@ -64,24 +64,19 @@ MatrixPatchStats SlicedMatrix::ApplyArcEdits(std::span<const ArcEdit> edits,
 namespace {
 
 // Flush granularity of the Eq. (5) gather: 2 Ki words = 16 KiB per
-// side keeps a batched block L1-resident (the regime where the span
-// kernel's SIMD advantage peaks) while still amortizing one backend
-// dispatch over hundreds-to-thousands of slice pairs. The zero-copy
-// path flushes at the same boundary so the adaptive decision sees
-// comparable batch sizes on every route.
+// side of descriptor-referenced slice words keeps a flush window
+// cache-resident while still amortizing one backend dispatch over
+// hundreds-to-thousands of slice pairs.
 constexpr std::size_t kGatherFlushWords = std::size_t{1} << 11;
 
-// Adaptive Eq. (5) pair stream: valid slice pairs are always gathered
-// as in-place (a, b, width) descriptors first — a descriptor is 20
-// bytes regardless of slice width, so enumeration itself copies no
-// slice words — and each flush batch picks its kernel path from the
-// measured policy crossovers (zero-copy descriptors at every default
-// cell; batched arena and per-pair dispatch reachable via forced
-// policy or a raised zero_copy_min_width).
+// Zero-copy Eq. (5) pair stream: valid slice pairs are gathered as
+// in-place (a, b, width) descriptors — a descriptor is 20 bytes
+// regardless of slice width, so enumeration copies no slice words —
+// and each full window is summed by one AndPopcountPairsZeroCopy call.
 class PairStreamExecutor {
  public:
   PairStreamExecutor(std::size_t width, PairPathCounters* counters)
-      : width_(width), cfg_(ActivePairPolicy()), counters_(counters) {
+      : width_(width), counters_(counters) {
     const std::size_t max_pairs = kGatherFlushWords / (width == 0 ? 1 : width);
     refs_.reserve(max_pairs + 1);
   }
@@ -110,35 +105,10 @@ class PairStreamExecutor {
 
   void Flush(std::uint64_t& total) {
     if (refs_.empty()) return;
-    switch (ChoosePairPolicy(width_, refs_.size(), cfg_)) {
-      case PairPolicy::kBatched:
-        arena_.Reserve(words_);
-        for (const PairRef& ref : refs_) {
-          arena_.Push(ref.a, ref.b, ref.words);
-        }
-        total += AndPopcountPairs(arena_);
-        arena_.Clear();
-        if (counters_ != nullptr) {
-          counters_->batched_pairs += refs_.size();
-          ++counters_->batched_flushes;
-        }
-        break;
-      case PairPolicy::kZeroCopy:
-        total += AndPopcountPairsZeroCopy(refs_);
-        if (counters_ != nullptr) {
-          counters_->zero_copy_pairs += refs_.size();
-          ++counters_->zero_copy_flushes;
-        }
-        break;
-      case PairPolicy::kPerPair:
-        // The legacy counterfactual: every pair pays the full dispatch
-        // (atomic backend load + call) — what the adaptive policy is
-        // measured against, reachable only by forcing.
-        for (const PairRef& ref : refs_) {
-          total += AndPopcountActive(ref.a, ref.b, ref.words);
-        }
-        if (counters_ != nullptr) counters_->per_pair_pairs += refs_.size();
-        break;
+    total += AndPopcountPairsZeroCopy(refs_);
+    if (counters_ != nullptr) {
+      counters_->zero_copy_pairs += refs_.size();
+      ++counters_->zero_copy_flushes;
     }
     refs_.clear();
     words_ = 0;
@@ -146,12 +116,104 @@ class PairStreamExecutor {
 
  private:
   std::size_t width_;
-  PairPolicyConfig cfg_;
   PairPathCounters* counters_;
   std::vector<PairRef> refs_;
-  PairArena arena_;
   std::size_t words_ = 0;
 };
+
+// The one Eq. (5) row pass behind AndPopcountRows and AndPopcountRect.
+// For each pivot row i in [row_begin, row_end), walk_arcs(i, visit)
+// calls visit(j) for every arc A[i][j] the pass owns, and each such arc
+// ANDs row i of `rows` against column j of `cols` over their valid
+// slice pairs. The walker is a compile-time parameter, so the arc
+// filter inlines into the enumeration loop.
+template <typename ArcWalker>
+std::uint64_t RowPass(const SlicedStore& rows, const SlicedStore& cols,
+                      std::uint32_t row_begin, std::uint32_t row_end,
+                      PopcountKind kind, PairPathCounters* counters,
+                      ArcWalker&& walk_arcs) {
+  std::uint64_t total = 0;
+  if (kind != PopcountKind::kBuiltin) {
+    // Hardware-model strategies (kSwar/kLut8/kLut16) keep the exact
+    // per-word per-pair loop — they model structure, not throughput.
+    for (std::uint32_t i = row_begin; i < row_end; ++i) {
+      const std::span<const std::uint32_t> ri = rows.SliceIndices(i);
+      walk_arcs(i, [&](std::uint32_t j) {
+        ForEachMatchedSlice(ri, cols.SliceIndices(j),
+                            [&](std::size_t a, std::size_t b) {
+                              total += AndPopcount(rows.SliceWords(i, a),
+                                                   cols.SliceWords(j, b),
+                                                   kind);
+                            });
+      });
+    }
+    return total;
+  }
+
+  const std::size_t width = rows.words_per_slice();
+
+  // Direct route: a wide-slice pass that spills the cache AND has no
+  // slice reuse is a pure cold stream — dispatching each pair during
+  // enumeration lets the OoO window overlap the DRAM misses with
+  // enumeration work, which a deferred descriptor flush cannot match.
+  if (rows.num_vectors() > 0 &&
+      ChooseDirectPairLoop(width, rows.HeapBytes() + cols.HeapBytes(),
+                           static_cast<double>(rows.valid_slice_count()) /
+                               static_cast<double>(rows.num_vectors()))) {
+    std::uint64_t pairs = 0;
+    for (std::uint32_t i = row_begin; i < row_end; ++i) {
+      const SlicedStore::VectorSlices row = rows.Slices(i);
+      walk_arcs(i, [&](std::uint32_t j) {
+        const SlicedStore::VectorSlices col = cols.Slices(j);
+        ForEachMatchedSlice(
+            row.indices, col.indices, [&](std::size_t a, std::size_t b) {
+              total += AndPopcountActive(row.words + a * width,
+                                         col.words + b * width, width);
+              ++pairs;
+            });
+      });
+    }
+    if (counters != nullptr) counters->per_pair_pairs += pairs;
+    return total;
+  }
+
+  // Zero-copy route: the pivot row's valid slices are indexed ONCE
+  // into a sparse lookup table (the §IV-A row-reuse idea on the host),
+  // so each arc pays O(|Cj|) lookups instead of re-merging the row's
+  // whole valid-slice list; every matched pair lands as a descriptor.
+  PairStreamExecutor exec(width, counters);
+  // row_ordinal_of_slice[k] = ordinal of slice k within the current
+  // pivot row, or -1. Only the row's own entries are ever written and
+  // reset, so the table costs O(|Ri|) per row after one O(slots) init.
+  std::vector<std::int32_t> row_ordinal_of_slice(
+      static_cast<std::size_t>(rows.slices_per_vector()), -1);
+  for (std::uint32_t i = row_begin; i < row_end; ++i) {
+    const SlicedStore::VectorSlices row = rows.Slices(i);
+    if (row.indices.empty()) continue;
+    for (std::size_t a = 0; a < row.indices.size(); ++a) {
+      row_ordinal_of_slice[row.indices[a]] = static_cast<std::int32_t>(a);
+    }
+    walk_arcs(i, [&](std::uint32_t j) {
+      const SlicedStore::VectorSlices col = cols.Slices(j);
+      for (std::size_t b = 0; b < col.indices.size(); ++b) {
+        const std::int32_t a = row_ordinal_of_slice[col.indices[b]];
+        if (a >= 0) {
+          exec.Push(row.words + static_cast<std::size_t>(a) * width,
+                    col.words + b * width);
+        }
+      }
+      // Flush per arc, not per row: a single hub row can gather far
+      // past the flush window otherwise (pair boundaries don't affect
+      // the sum, so flushing mid-row is safe).
+      if (exec.ShouldFlush()) exec.Flush(total);
+    });
+    for (const std::uint32_t slice : row.indices) {
+      row_ordinal_of_slice[slice] = -1;
+    }
+  }
+  exec.Flush(total);
+  return total;
+}
 
 }  // namespace
 
@@ -167,95 +229,12 @@ std::uint64_t SlicedMatrix::AndPopcountRows(std::uint32_t row_begin,
   if (row_begin > row_end || row_end > num_vertices()) {
     throw std::out_of_range("SlicedMatrix::AndPopcountRows: invalid range");
   }
-  std::uint64_t total = 0;
-  if (kind != PopcountKind::kBuiltin) {
-    // Hardware-model strategies (kSwar/kLut8/kLut16) keep the exact
-    // per-word per-pair loop — they model structure, not throughput.
-    for (std::uint32_t i = row_begin; i < row_end; ++i) {
-      rows_.ForEachSetBit(i, [&](std::uint64_t j64) {
-        const auto j = static_cast<std::uint32_t>(j64);
-        ForEachValidPair(i, j, [&](std::uint32_t /*slice*/, std::size_t ra,
-                                   std::size_t cb) {
-          total += AndPopcount(rows_.SliceWords(i, ra),
-                               cols_.SliceWords(j, cb), kind);
-        });
-      });
-    }
-    return total;
-  }
-
-  const std::size_t width = rows_.words_per_slice();
-
-  // Pass-level adaptive escape hatch: a wide-slice store that spills
-  // the cache AND has no slice reuse (sparse near-uniform graphs) is a
-  // pure cold stream — dispatching each pair immediately during
-  // enumeration lets the OoO window overlap the DRAM misses with
-  // enumeration work, which a deferred descriptor flush cannot match
-  // even with prefetch. Hub-skewed stores keep the gathered zero-copy
-  // path (their reused slices are cache-hot). See ChooseDirectPairLoop.
-  if (rows_.num_vectors() > 0 &&
-      ChooseDirectPairLoop(
-          width, rows_.HeapBytes() + cols_.HeapBytes(),
-          static_cast<double>(rows_.valid_slice_count()) /
-              static_cast<double>(rows_.num_vectors()),
-          ActivePairPolicy())) {
-    std::size_t pairs = 0;
-    for (std::uint32_t i = row_begin; i < row_end; ++i) {
-      rows_.ForEachSetBit(i, [&](std::uint64_t j64) {
-        const auto j = static_cast<std::uint32_t>(j64);
-        ForEachValidPair(i, j, [&](std::uint32_t /*slice*/, std::size_t ra,
-                                   std::size_t cb) {
-          const std::span<const std::uint64_t> a = rows_.SliceWords(i, ra);
-          const std::span<const std::uint64_t> b = cols_.SliceWords(j, cb);
-          total += AndPopcountActive(a.data(), b.data(), a.size());
-          ++pairs;
-        });
-      });
-    }
-    if (counters != nullptr) counters->per_pair_pairs += pairs;
-    return total;
-  }
-
-  // Adaptive host path: one gather pass per pivot row — the row's
-  // valid slices are indexed ONCE into a sparse lookup table (the
-  // §IV-A row-reuse idea on the host), so each edge pays O(|Cj|)
-  // lookups instead of re-merging the row's whole valid-slice list;
-  // every matched pair lands as a zero-copy descriptor, and each flush
-  // batch routes through the policy-chosen kernel path.
-  PairStreamExecutor exec(width, counters);
-  // row_ordinal_of_slice[k] = ordinal of slice k within the current
-  // pivot row, or -1. Only the row's own entries are ever written and
-  // reset, so the table costs O(|Ri|) per row after one O(slots) init.
-  std::vector<std::int32_t> row_ordinal_of_slice(
-      static_cast<std::size_t>(rows_.slices_per_vector()), -1);
-  for (std::uint32_t i = row_begin; i < row_end; ++i) {
-    const SlicedStore::VectorSlices row = rows_.Slices(i);
-    if (row.indices.empty()) continue;
-    for (std::size_t a = 0; a < row.indices.size(); ++a) {
-      row_ordinal_of_slice[row.indices[a]] = static_cast<std::int32_t>(a);
-    }
-    rows_.ForEachSetBit(i, [&](std::uint64_t j64) {
-      const auto j = static_cast<std::uint32_t>(j64);
-      // Column j holds bit i (the arc exists), so it has valid slices.
-      const SlicedStore::VectorSlices col = cols_.Slices(j);
-      for (std::size_t b = 0; b < col.indices.size(); ++b) {
-        const std::int32_t a = row_ordinal_of_slice[col.indices[b]];
-        if (a >= 0) {
-          exec.Push(row.words + static_cast<std::size_t>(a) * width,
-                    col.words + b * width);
-        }
-      }
-      // Flush per edge, not per row: a single hub row can gather far
-      // past the L1 budget otherwise (pair boundaries don't affect
-      // the sum, so flushing mid-row is safe).
-      if (exec.ShouldFlush()) exec.Flush(total);
-    });
-    for (const std::uint32_t slice : row.indices) {
-      row_ordinal_of_slice[slice] = -1;
-    }
-  }
-  exec.Flush(total);
-  return total;
+  return RowPass(rows_, cols_, row_begin, row_end, kind, counters,
+                 [&](std::uint32_t i, auto&& visit) {
+                   rows_.ForEachSetBit(i, [&](std::uint64_t j) {
+                     visit(static_cast<std::uint32_t>(j));
+                   });
+                 });
 }
 
 std::uint64_t SlicedMatrix::AndPopcountRect(
@@ -274,70 +253,17 @@ std::uint64_t SlicedMatrix::AndPopcountRect(
     throw std::invalid_argument(
         "SlicedMatrix::AndPopcountRect: cols_override shape mismatch");
   }
-  const auto keep = [&](std::uint32_t j) {
-    return col_mask == nullptr || (col_mask[j] != 0) == mask_value;
-  };
-  std::uint64_t total = 0;
-  if (kind != PopcountKind::kBuiltin) {
-    // Hardware-model strategies keep the exact per-word per-pair loop
-    // (merging against `cols`, which may be the replica store).
-    for (std::uint32_t i = row_begin; i < row_end; ++i) {
-      rows_.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
-        const auto j = static_cast<std::uint32_t>(j64);
-        if (!keep(j)) return;
-        const std::span<const std::uint32_t> ri = rows_.SliceIndices(i);
-        const std::span<const std::uint32_t> cj = cols.SliceIndices(j);
-        std::size_t a = 0;
-        std::size_t b = 0;
-        while (a < ri.size() && b < cj.size()) {
-          if (ri[a] < cj[b]) {
-            ++a;
-          } else if (ri[a] > cj[b]) {
-            ++b;
-          } else {
-            total += AndPopcount(rows_.SliceWords(i, a), cols.SliceWords(j, b),
-                                 kind);
-            ++a;
-            ++b;
-          }
-        }
-      });
-    }
-    return total;
-  }
-
-  // Adaptive host path — same shape as AndPopcountRows, with the arc
-  // enumeration restricted to the rectangle/mask and the column
-  // lookups routed through `cols`.
-  const std::size_t width = rows_.words_per_slice();
-  PairStreamExecutor exec(width, counters);
-  std::vector<std::int32_t> row_ordinal_of_slice(
-      static_cast<std::size_t>(rows_.slices_per_vector()), -1);
-  for (std::uint32_t i = row_begin; i < row_end; ++i) {
-    const SlicedStore::VectorSlices row = rows_.Slices(i);
-    if (row.indices.empty()) continue;
-    for (std::size_t a = 0; a < row.indices.size(); ++a) {
-      row_ordinal_of_slice[row.indices[a]] = static_cast<std::int32_t>(a);
-    }
-    rows_.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
-      const auto j = static_cast<std::uint32_t>(j64);
-      if (!keep(j)) return;
-      const SlicedStore::VectorSlices col = cols.Slices(j);
-      for (std::size_t b = 0; b < col.indices.size(); ++b) {
-        const std::int32_t a = row_ordinal_of_slice[col.indices[b]];
-        if (a >= 0) {
-          exec.Push(row.words + static_cast<std::size_t>(a) * width,
-                    col.words + b * width);
-        }
-      }
-      if (exec.ShouldFlush()) exec.Flush(total);
-    });
-    for (const std::uint32_t slice : row.indices) {
-      row_ordinal_of_slice[slice] = -1;
-    }
-  }
-  exec.Flush(total);
-  return total;
+  return RowPass(rows_, cols, row_begin, row_end, kind, counters,
+                 [&](std::uint32_t i, auto&& visit) {
+                   rows_.ForEachSetBitInRange(
+                       i, col_begin, col_end, [&](std::uint64_t j64) {
+                         const auto j = static_cast<std::uint32_t>(j64);
+                         if (col_mask == nullptr ||
+                             (col_mask[j] != 0) == mask_value) {
+                           visit(j);
+                         }
+                       });
+                 });
 }
 
 SliceStats SlicedMatrix::ComputeStats() const {

@@ -76,29 +76,26 @@ struct SliceStats {
   }
 };
 
-/// Per-path pair accounting of one adaptive Eq. (5) pass: how many
-/// valid slice pairs each kernel path consumed and how many flush
-/// batches it ran. The adaptive policy (kernel_backend.h, "Adaptive
-/// pair policy") is otherwise invisible from outside — these counters
-/// are how tests pin the routing and how ExecStats reports it.
+/// Per-path pair accounting of one host Eq. (5) pass: how many valid
+/// slice pairs went through the zero-copy descriptor kernel (and in
+/// how many flushes) and how many through the direct per-pair loop
+/// (kernel_backend.h, ChooseDirectPairLoop). The route is otherwise
+/// invisible from outside — these counters are how tests pin it and
+/// how ExecStats reports it.
 struct PairPathCounters {
-  std::uint64_t batched_pairs = 0;
   std::uint64_t zero_copy_pairs = 0;
   std::uint64_t per_pair_pairs = 0;
-  std::uint64_t batched_flushes = 0;
   std::uint64_t zero_copy_flushes = 0;
 
   PairPathCounters& operator+=(const PairPathCounters& o) noexcept {
-    batched_pairs += o.batched_pairs;
     zero_copy_pairs += o.zero_copy_pairs;
     per_pair_pairs += o.per_pair_pairs;
-    batched_flushes += o.batched_flushes;
     zero_copy_flushes += o.zero_copy_flushes;
     return *this;
   }
 
   [[nodiscard]] std::uint64_t TotalPairs() const noexcept {
-    return batched_pairs + zero_copy_pairs + per_pair_pairs;
+    return zero_copy_pairs + per_pair_pairs;
   }
 };
 
@@ -160,20 +157,8 @@ class SlicedMatrix {
   template <typename Fn>
   void ForEachValidPair(std::uint32_t i, std::uint32_t j, Fn&& fn) const {
     const std::span<const std::uint32_t> ri = rows_.SliceIndices(i);
-    const std::span<const std::uint32_t> cj = cols_.SliceIndices(j);
-    std::size_t a = 0;
-    std::size_t b = 0;
-    while (a < ri.size() && b < cj.size()) {
-      if (ri[a] < cj[b]) {
-        ++a;
-      } else if (ri[a] > cj[b]) {
-        ++b;
-      } else {
-        fn(ri[a], a, b);
-        ++a;
-        ++b;
-      }
-    }
+    ForEachMatchedSlice(ri, cols_.SliceIndices(j),
+                        [&](std::size_t a, std::size_t b) { fn(ri[a], a, b); });
   }
 
   /// Software evaluation of Eq. (5) over the compressed stores: for
@@ -181,13 +166,13 @@ class SlicedMatrix {
   /// pairs. With an upper-triangular (oriented) adjacency this *is*
   /// the triangle count; the caller owns that interpretation. At the
   /// default kind (kBuiltin) the valid slice pairs are gathered per
-  /// pivot row and evaluated in flush batches whose kernel path —
-  /// batched arena, zero-copy descriptors, or per-pair dispatch — is
-  /// chosen per batch by the adaptive pair policy (kernel_backend.h,
-  /// "Adaptive pair policy"; forceable via TCIM_PAIR_POLICY); the
-  /// hardware-model kinds run the exact per-word per-pair loop
-  /// instead. When `counters` is non-null the per-path pair/flush
-  /// accounting of this pass is accumulated into it.
+  /// pivot row as zero-copy descriptors and evaluated in flush batches
+  /// — except in the one regime ChooseDirectPairLoop picks from the
+  /// stores (wide, cache-spilling, no reuse), where each pair is
+  /// dispatched during enumeration; the hardware-model kinds run the
+  /// exact per-word per-pair loop instead. When `counters` is non-null
+  /// the per-path pair/flush accounting of this pass is accumulated
+  /// into it.
   [[nodiscard]] std::uint64_t AndPopcountAllEdges(
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
@@ -197,7 +182,7 @@ class SlicedMatrix {
   /// HostCount). Column lookups see the whole matrix, so disjoint row
   /// ranges partition AndPopcountAllEdges() exactly: summing shards
   /// reproduces the full pass. Throws std::out_of_range on an invalid
-  /// range. Same batching/policy rules as AndPopcountAllEdges.
+  /// range. Same routing rules as AndPopcountAllEdges.
   [[nodiscard]] std::uint64_t AndPopcountRows(
       std::uint32_t row_begin, std::uint32_t row_end,
       PopcountKind kind = PopcountKind::kBuiltin,
@@ -220,7 +205,9 @@ class SlicedMatrix {
   /// `cols_override` (when non-null) replaces the column store for the
   /// ANDs — the per-bank hub-replica store. It must match slice_bits
   /// and num_vectors (throws std::invalid_argument) and must hold
-  /// bit-identical data for every enumerated column.
+  /// bit-identical data for every enumerated column. Same routing
+  /// rules as AndPopcountAllEdges, decided from the row store and the
+  /// column store the pass actually reads.
   /// Throws std::out_of_range on an invalid rectangle.
   [[nodiscard]] std::uint64_t AndPopcountRect(
       std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,

@@ -426,35 +426,6 @@ PatchStats SlicedStore::ApplyEdits(std::span<const SliceEdit> edits,
   return stats;
 }
 
-std::size_t GatherValidPairs(const SlicedStore& a, std::uint32_t va,
-                             const SlicedStore& b, std::uint32_t vb,
-                             PairArena& arena) {
-  if (a.slice_bits() != b.slice_bits()) {
-    throw std::invalid_argument(
-        "GatherValidPairs: stores disagree on slice_bits");
-  }
-  const SlicedStore::VectorSlices sa = a.Slices(va);
-  const SlicedStore::VectorSlices sb = b.Slices(vb);
-  if (sa.indices.empty() || sb.indices.empty()) return 0;
-  const std::size_t width = a.words_per_slice();
-  std::size_t x = 0;
-  std::size_t y = 0;
-  std::size_t appended = 0;
-  while (x < sa.indices.size() && y < sb.indices.size()) {
-    if (sa.indices[x] < sb.indices[y]) {
-      ++x;
-    } else if (sa.indices[x] > sb.indices[y]) {
-      ++y;
-    } else {
-      arena.Push(sa.words + x * width, sb.words + y * width, width);
-      ++appended;
-      ++x;
-      ++y;
-    }
-  }
-  return appended;
-}
-
 std::size_t GatherValidPairRefs(const SlicedStore& a, std::uint32_t va,
                                 const SlicedStore& b, std::uint32_t vb,
                                 std::vector<PairRef>& refs) {
@@ -464,79 +435,37 @@ std::size_t GatherValidPairRefs(const SlicedStore& a, std::uint32_t va,
   }
   const SlicedStore::VectorSlices sa = a.Slices(va);
   const SlicedStore::VectorSlices sb = b.Slices(vb);
-  if (sa.indices.empty() || sb.indices.empty()) return 0;
   const std::size_t width = a.words_per_slice();
-  std::size_t x = 0;
-  std::size_t y = 0;
-  std::size_t appended = 0;
-  while (x < sa.indices.size() && y < sb.indices.size()) {
-    if (sa.indices[x] < sb.indices[y]) {
-      ++x;
-    } else if (sa.indices[x] > sb.indices[y]) {
-      ++y;
-    } else {
-      refs.push_back(PairRef{sa.words + x * width, sb.words + y * width,
-                             static_cast<std::uint32_t>(width)});
-      ++appended;
-      ++x;
-      ++y;
-    }
-  }
-  return appended;
+  const std::size_t before = refs.size();
+  ForEachMatchedSlice(sa.indices, sb.indices, [&](std::size_t x, std::size_t y) {
+    refs.push_back(PairRef{sa.words + x * width, sb.words + y * width,
+                           static_cast<std::uint32_t>(width)});
+  });
+  return refs.size() - before;
 }
 
 std::uint64_t AndPopcountVectors(const SlicedStore& a, std::uint32_t va,
                                  const SlicedStore& b, std::uint32_t vb,
                                  PopcountKind kind, std::uint64_t* pairs) {
   if (kind == PopcountKind::kBuiltin) {
-    // Adaptive host path: gather in-place descriptors, then route the
-    // whole list through the policy-chosen kernel path.
     thread_local std::vector<PairRef> refs;
     refs.clear();
     const std::size_t matched = GatherValidPairRefs(a, va, b, vb, refs);
     if (pairs != nullptr) *pairs += matched;
-    switch (ChoosePairPolicy(a.words_per_slice(), refs.size(),
-                             ActivePairPolicy())) {
-      case PairPolicy::kBatched: {
-        thread_local PairArena arena;
-        arena.Clear();
-        for (const PairRef& ref : refs) arena.Push(ref.a, ref.b, ref.words);
-        return AndPopcountPairs(arena);
-      }
-      case PairPolicy::kZeroCopy:
-        return AndPopcountPairsZeroCopy(refs);
-      case PairPolicy::kPerPair: {
-        std::uint64_t total = 0;
-        for (const PairRef& ref : refs) {
-          total += AndPopcountActive(ref.a, ref.b, ref.words);
-        }
-        return total;
-      }
-    }
-    return 0;
+    return AndPopcountPairsZeroCopy(refs);
   }
   if (a.slice_bits() != b.slice_bits()) {
     throw std::invalid_argument(
         "AndPopcountVectors: stores disagree on slice_bits");
   }
   // Hardware-model strategies keep the exact per-word per-pair loop.
-  const std::span<const std::uint32_t> ia = a.SliceIndices(va);
-  const std::span<const std::uint32_t> ib = b.SliceIndices(vb);
   std::uint64_t total = 0;
-  std::size_t x = 0;
-  std::size_t y = 0;
-  while (x < ia.size() && y < ib.size()) {
-    if (ia[x] < ib[y]) {
-      ++x;
-    } else if (ia[x] > ib[y]) {
-      ++y;
-    } else {
-      total += AndPopcount(a.SliceWords(va, x), b.SliceWords(vb, y), kind);
-      if (pairs != nullptr) ++*pairs;
-      ++x;
-      ++y;
-    }
-  }
+  ForEachMatchedSlice(
+      a.SliceIndices(va), b.SliceIndices(vb),
+      [&](std::size_t x, std::size_t y) {
+        total += AndPopcount(a.SliceWords(va, x), b.SliceWords(vb, y), kind);
+        if (pairs != nullptr) ++*pairs;
+      });
   return total;
 }
 

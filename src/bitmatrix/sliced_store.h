@@ -184,7 +184,7 @@ class SlicedStore {
   /// meaningful only when indices is non-empty. Equivalent to
   /// combining SliceIndices(v) with per-ordinal SliceWords() calls,
   /// but with ONE bounds check and one offsets_ load for the whole
-  /// vector — the per-edge column lookup of the batched Eq. (5)
+  /// vector — the per-edge column lookup of the Eq. (5)
   /// gather is memory-latency-bound, so duplicate checked loads
   /// showed in the end-to-end numbers.
   struct VectorSlices {
@@ -351,23 +351,37 @@ class SlicedStore {
   return shared;
 }
 
-/// Merges the valid-slice index lists of (a, va) and (b, vb) and
-/// appends every matched pair's slice words to `arena` — the gather
-/// half of the batched Eq. (5) kernel (AndPopcountPairs consumes the
-/// block). Returns the number of pairs appended. Callers batching
-/// several vector pairs (e.g. the stream layer's 4-way wedge kernel)
-/// gather them all before issuing ONE dispatched call. The stores must
-/// share slice_bits.
-std::size_t GatherValidPairs(const SlicedStore& a, std::uint32_t va,
-                             const SlicedStore& b, std::uint32_t vb,
-                             PairArena& arena);
+/// The valid-slice-pair merge: walks two sorted slice-index lists and
+/// calls fn(x, y) for every matched slice, in increasing slice order,
+/// where x and y are the match's ordinals within `a` and `b`. Every
+/// per-vector-pair consumer of Eq. (5) — ForEachValidPair, the
+/// descriptor gather and the hardware-model loops — pairs slices
+/// through this one loop.
+template <typename Fn>
+void ForEachMatchedSlice(std::span<const std::uint32_t> a,
+                         std::span<const std::uint32_t> b, Fn&& fn) {
+  std::size_t x = 0;
+  std::size_t y = 0;
+  while (x < a.size() && y < b.size()) {
+    if (a[x] < b[y]) {
+      ++x;
+    } else if (a[x] > b[y]) {
+      ++y;
+    } else {
+      fn(x, y);
+      ++x;
+      ++y;
+    }
+  }
+}
 
-/// Zero-copy variant of GatherValidPairs: appends in-place (a, b,
-/// width) descriptors to `refs` instead of copying slice words — the
-/// gather half of the adaptive Eq. (5) kernel. Callers decide the
-/// execution path afterwards (ChoosePairPolicy on the gathered count),
-/// so enumeration never pays the arena memcpy up front. Returns the
-/// number of descriptors appended. The stores must share slice_bits.
+/// Merges the valid-slice index lists of (a, va) and (b, vb) and
+/// appends an in-place (a, b, width) descriptor to `refs` for every
+/// matched slice — the gather half of the zero-copy Eq. (5) kernel
+/// (AndPopcountPairsZeroCopy consumes the list). Callers batching
+/// several vector pairs (e.g. the stream layer's 4-way wedge kernel)
+/// gather them all before issuing ONE kernel call. Returns the number
+/// of descriptors appended. The stores must share slice_bits.
 std::size_t GatherValidPairRefs(const SlicedStore& a, std::uint32_t va,
                                 const SlicedStore& b, std::uint32_t vb,
                                 std::vector<PairRef>& refs);
@@ -380,9 +394,8 @@ std::size_t GatherValidPairRefs(const SlicedStore& a, std::uint32_t va,
 /// non-null it is incremented by the number of slice ANDs issued (the
 /// streaming layer's AND-op accounting). Like AndPopcountAllEdges,
 /// the default kind gathers the matched slices as zero-copy
-/// descriptors and routes them through the adaptive pair policy with
-/// one dispatch resolution; the hardware-model kinds keep the exact
-/// per-word per-pair loop.
+/// descriptors and evaluates them with one dispatch resolution; the
+/// hardware-model kinds keep the exact per-word per-pair loop.
 [[nodiscard]] std::uint64_t AndPopcountVectors(
     const SlicedStore& a, std::uint32_t va, const SlicedStore& b,
     std::uint32_t vb, PopcountKind kind = PopcountKind::kBuiltin,

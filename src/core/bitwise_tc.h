@@ -37,9 +37,10 @@ namespace tcim::core {
 /// Sliced evaluation of Eq. (5) — the "w/o PIM" software path.
 /// Returns the triangle count (orientation multiplier applied). At
 /// the default popcount the valid slice pairs are gathered per pivot
-/// row and evaluated in blocks by the batched pair kernel on the
-/// active SIMD backend — one dispatch per block, not per slice pair
-/// (bit::AndPopcountPairs; forceable via TCIM_KERNEL).
+/// row as in-place descriptors and evaluated in blocks by the
+/// zero-copy pair kernel on the active SIMD backend — one dispatch per
+/// block, not per slice pair (bit::AndPopcountPairsZeroCopy; backend
+/// forceable via TCIM_KERNEL).
 [[nodiscard]] std::uint64_t CountTrianglesSliced(
     const graph::Graph& g,
     graph::Orientation orientation = graph::Orientation::kUpper,

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
 #include <unordered_map>
 #include <vector>
 
@@ -36,47 +36,65 @@ T ReadPod(std::istream& in) {
 
 }  // namespace
 
+std::string_view NextToken(std::string_view& rest) noexcept {
+  const auto is_space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\r';
+  };
+  std::size_t begin = 0;
+  while (begin < rest.size() && is_space(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !is_space(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+std::uint64_t ParseVertexIdToken(std::string_view token, std::uint64_t line_no,
+                                 std::uint64_t max_id) {
+  const auto fail = [&](const char* why) {
+    throw std::runtime_error("line " + std::to_string(line_no) +
+                             ": vertex id '" + std::string(token) + "' " +
+                             why);
+  };
+  if (token.empty()) fail("is missing");
+  if (token.front() == '-' || token.front() == '+') fail("has a sign");
+  std::uint64_t id = 0;
+  const char* const last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, id);
+  if (ec == std::errc::result_out_of_range) fail("is out of range");
+  if (ec != std::errc{}) fail("is not a decimal integer");
+  if (ptr != last) fail("has trailing junk");
+  if (id > max_id) fail("is out of range");
+  return id;
+}
+
 Graph ReadSnapEdgeList(std::istream& in) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> raw_edges;
   std::unordered_map<std::uint64_t, VertexId> remap;
   std::string line;
   std::uint64_t line_no = 0;
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\r';
-  };
   while (std::getline(in, line)) {
     ++line_no;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#' || line[first] == '%') continue;
-    const char* p = line.c_str() + first;
-    char* end = nullptr;
-    const unsigned long long u = std::strtoull(p, &end, 10);
-    if (end == p) Fail("unparsable line " + std::to_string(line_no));
-    // A token must end at whitespace or end-of-line: "2garbage" parsing
-    // as 2 would silently corrupt the edge list.
-    if (*end != '\0' && !is_space(*end)) {
-      Fail("trailing junk after first id on line " + std::to_string(line_no));
+    std::string_view rest = line;
+    const std::string_view first = NextToken(rest);
+    if (first.empty() || first.front() == '#' || first.front() == '%') {
+      continue;
     }
-    p = end;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p) Fail("missing second id on line " + std::to_string(line_no));
-    if (*end != '\0' && !is_space(*end)) {
-      Fail("trailing junk after second id on line " + std::to_string(line_no));
-    }
+    const std::uint64_t u = ParseVertexIdToken(first, line_no);
+    const std::uint64_t v = ParseVertexIdToken(NextToken(rest), line_no);
     // SNAP files may carry extra columns (temporal edge lists'
     // timestamps, weighted lists' real-valued weights): accept
     // additional *numeric* tokens — integer or floating-point — and
     // reject anything else so junk cannot ride along unnoticed.
-    p = end;
-    for (;;) {
-      while (is_space(*p)) ++p;
-      if (*p == '\0') break;
-      (void)std::strtod(p, &end);
-      if (end == p || (*end != '\0' && !is_space(*end))) {
-        Fail("trailing junk on line " + std::to_string(line_no));
+    for (std::string_view extra = NextToken(rest); !extra.empty();
+         extra = NextToken(rest)) {
+      double value = 0.0;
+      const char* const last = extra.data() + extra.size();
+      const auto [ptr, ec] = std::from_chars(extra.data(), last, value);
+      if (ec != std::errc{} || ptr != last) {
+        Fail("line " + std::to_string(line_no) + ": trailing junk '" +
+             std::string(extra) + "'");
       }
-      p = end;
     }
     raw_edges.emplace_back(u, v);
     remap.try_emplace(u, 0);

@@ -12,19 +12,40 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "graph/graph.h"
 
 namespace tcim::graph {
 
+/// Pops the next token off the front of `rest`: skips spaces, tabs and
+/// carriage returns, then returns the run of other characters up to
+/// the next one (empty when the line is used up) — the field splitter
+/// of the text readers.
+[[nodiscard]] std::string_view NextToken(std::string_view& rest) noexcept;
+
+/// The strict vertex-id token parser shared by the text readers
+/// (ReadSnapEdgeList, stream::ReadDeltaStream): `token` must be a
+/// non-empty run of decimal digits — no sign, no trailing characters —
+/// whose value is at most `max_id`. Anything else throws
+/// std::runtime_error naming `line_no` and the token, so a malformed id
+/// is never silently reinterpreted as a different vertex.
+[[nodiscard]] std::uint64_t ParseVertexIdToken(
+    std::string_view token, std::uint64_t line_no,
+    std::uint64_t max_id = std::numeric_limits<std::uint64_t>::max());
+
 /// Parses a SNAP-style edge list:
 ///  * lines starting with '#' or '%' are comments;
-///  * other lines contain two (or more; extras ignored) integer ids;
+///  * other lines contain two vertex ids (ParseVertexIdToken: unsigned
+///    decimal, 64-bit range), optionally followed by extra numeric
+///    columns (timestamps, weights), which are ignored;
 ///  * ids may be arbitrary (non-dense) and are remapped to [0, n) in
-///    first-appearance order;
+///    sorted-id order;
 ///  * duplicate edges / self-loops are dropped by GraphBuilder.
-/// Throws std::runtime_error on unparsable lines.
+/// Throws std::runtime_error naming the line (and the offending token)
+/// on malformed lines.
 [[nodiscard]] Graph ReadSnapEdgeList(std::istream& in);
 [[nodiscard]] Graph ReadSnapEdgeListFile(const std::string& path);
 

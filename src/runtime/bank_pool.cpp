@@ -122,7 +122,7 @@ void Record2dMetrics(const PartitionStats& stats) {
   metrics.tile_imbalance.Set(stats.tile_imbalance);
 }
 
-/// Sums the per-shard adaptive-policy routing counters (each shard
+/// Sums the per-shard kernel-path routing counters (each shard
 /// writes its own slot — RunShards runs them concurrently) into the
 /// registry once per host-count fan-out.
 void RecordPairPathMetrics(std::span<const bit::PairPathCounters> per_bank) {
@@ -130,7 +130,6 @@ void RecordPairPathMetrics(std::span<const bit::PairPathCounters> per_bank) {
   for (const bit::PairPathCounters& c : per_bank) total += c;
   if (total.TotalPairs() == 0) return;
   BankPoolMetrics& metrics = BankPoolMetrics::Get();
-  metrics.pairs_batched.Add(total.batched_pairs);
   metrics.pairs_zero_copy.Add(total.zero_copy_pairs);
   metrics.pairs_per_pair.Add(total.per_pair_pairs);
 }

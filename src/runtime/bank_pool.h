@@ -102,7 +102,7 @@ class BankPool {
 
   /// Host-kernel twin of Count(): same orient → slice → partition
   /// pipeline and the same per-bank row shards, but each shard runs
-  /// the *batched host* Eq. (5) pass (SlicedMatrix::AndPopcountRows on
+  /// the *host* Eq. (5) pass (SlicedMatrix::AndPopcountRows on
   /// the active SIMD kernel backend) instead of the functional in-MRAM
   /// simulation — the fast path when only the count is needed, not the
   /// architectural statistics. Raw shard bitcounts are summed before

@@ -59,11 +59,10 @@ struct BankPoolMetrics {
   obs::Counter& bank_busy_micros;    // summed shard wall time, all banks
   obs::Gauge& replica_bytes;         // 2D hub-replica bytes, last plan
   obs::Gauge& tile_imbalance;        // 2D max/mean bank weight, last plan
-  // Adaptive pair-policy routing on the host-kernel count paths: valid
-  // pairs consumed per kernel path (kernel_backend.h, PairPolicy).
-  obs::Counter& pairs_batched;       // pairs via the arena path
+  // Kernel-path routing on the host-kernel count paths: valid pairs
+  // consumed per path (kernel_backend.h, ChooseDirectPairLoop).
   obs::Counter& pairs_zero_copy;     // pairs via zero-copy descriptors
-  obs::Counter& pairs_per_pair;      // pairs via forced per-pair dispatch
+  obs::Counter& pairs_per_pair;      // pairs via the direct per-pair loop
 
   static BankPoolMetrics& Get();
   // Per-bank busy counter, registered on first use:

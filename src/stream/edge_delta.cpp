@@ -2,9 +2,11 @@
 
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "graph/io.h"
 
 namespace tcim::stream {
 
@@ -29,21 +31,21 @@ std::vector<EdgeDelta> ReadDeltaStream(std::istream& in) {
       throw std::runtime_error("delta line " + std::to_string(line_no) +
                                ": expected '+', '-', '=' or comment");
     }
-    std::istringstream fields(line.substr(start + 1));
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    if (!(fields >> u >> v)) {
-      throw std::runtime_error("delta line " + std::to_string(line_no) +
-                               ": expected two vertex ids");
-    }
-    // Reject ids that do not fit VertexId instead of silently
-    // truncating to a different vertex (istream also wraps negative
-    // input into huge unsigned values — caught here too).
+    // Exactly two strict id tokens (graph::ParseVertexIdToken) in
+    // VertexId range: a sign, an out-of-range id, trailing junk or a
+    // third field is an error, never a silently different vertex.
     constexpr std::uint64_t kMaxId =
         std::numeric_limits<graph::VertexId>::max();
-    if (u > kMaxId || v > kMaxId) {
+    std::string_view rest = std::string_view(line).substr(start + 1);
+    const std::uint64_t u =
+        graph::ParseVertexIdToken(graph::NextToken(rest), line_no, kMaxId);
+    const std::uint64_t v =
+        graph::ParseVertexIdToken(graph::NextToken(rest), line_no, kMaxId);
+    const std::string_view extra = graph::NextToken(rest);
+    if (!extra.empty()) {
       throw std::runtime_error("delta line " + std::to_string(line_no) +
-                               ": vertex id out of 32-bit range");
+                               ": unexpected field '" + std::string(extra) +
+                               "' after the two vertex ids");
     }
     current.ops.push_back(EdgeOp{static_cast<graph::VertexId>(u),
                                  static_cast<graph::VertexId>(v),

@@ -17,7 +17,9 @@
 //   + u v                    insert undirected edge {u, v}
 //   - u v                    delete undirected edge {u, v}
 //   =                        commit the batch, start the next one
-// A trailing non-empty batch at EOF is committed implicitly.
+// A trailing non-empty batch at EOF is committed implicitly. u and v
+// are unsigned decimal ids below 2^32 (graph::ParseVertexIdToken); a
+// sign, trailing junk or a third field is an error.
 //
 // Layer: §11 stream — see docs/ARCHITECTURE.md and docs/STREAMING.md.
 #pragma once
@@ -66,7 +68,8 @@ struct EdgeDelta {
 };
 
 /// Parses the replay format (see file comment) into batches. Throws
-/// std::runtime_error on an unparsable line.
+/// std::runtime_error naming the line (and the token) on a malformed
+/// line.
 [[nodiscard]] std::vector<EdgeDelta> ReadDeltaStream(std::istream& in);
 [[nodiscard]] std::vector<EdgeDelta> ReadDeltaFile(const std::string& path);
 

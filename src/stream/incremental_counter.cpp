@@ -52,11 +52,10 @@ std::uint64_t IncrementalCounter::MatrixCommonNeighbors(
            bit::AndPopcountVectors(cols, u, cols, v, config_.popcount,
                                    and_ops);
   }
-  // Adaptive host path. N(u) = row_u (out) ⊎ col_u (in): the common
+  // Host path. N(u) = row_u (out) ⊎ col_u (in): the common
   // neighbourhood is the disjoint sum of the four store combinations
   // (just row/row when full-symmetric), so all four gather as
-  // zero-copy descriptors and the whole wedge routes through the
-  // policy-chosen kernel path with one dispatch resolution.
+  // zero-copy descriptors and the whole wedge is one kernel call.
   wedge_refs_.clear();
   std::size_t matched = bit::GatherValidPairRefs(rows, u, rows, v,
                                                  wedge_refs_);
@@ -65,37 +64,12 @@ std::uint64_t IncrementalCounter::MatrixCommonNeighbors(
     matched += bit::GatherValidPairRefs(cols, u, rows, v, wedge_refs_);
     matched += bit::GatherValidPairRefs(cols, u, cols, v, wedge_refs_);
   }
-  if (and_ops != nullptr) *and_ops += matched;
-  switch (bit::ChoosePairPolicy(m.rows().words_per_slice(),
-                                wedge_refs_.size(),
-                                bit::ActivePairPolicy())) {
-    case bit::PairPolicy::kBatched: {
-      wedge_arena_.Clear();
-      for (const bit::PairRef& ref : wedge_refs_) {
-        wedge_arena_.Push(ref.a, ref.b, ref.words);
-      }
-      if (stats != nullptr) {
-        stats->paths.batched_pairs += matched;
-        ++stats->paths.batched_flushes;
-      }
-      return bit::AndPopcountPairs(wedge_arena_);
-    }
-    case bit::PairPolicy::kZeroCopy:
-      if (stats != nullptr) {
-        stats->paths.zero_copy_pairs += matched;
-        ++stats->paths.zero_copy_flushes;
-      }
-      return bit::AndPopcountPairsZeroCopy(wedge_refs_);
-    case bit::PairPolicy::kPerPair: {
-      std::uint64_t total = 0;
-      for (const bit::PairRef& ref : wedge_refs_) {
-        total += bit::AndPopcountActive(ref.a, ref.b, ref.words);
-      }
-      if (stats != nullptr) stats->paths.per_pair_pairs += matched;
-      return total;
-    }
+  if (stats != nullptr) {
+    stats->and_ops += matched;
+    stats->paths.zero_copy_pairs += matched;
+    ++stats->paths.zero_copy_flushes;
   }
-  return 0;
+  return bit::AndPopcountPairsZeroCopy(wedge_refs_);
 }
 
 BatchResult IncrementalCounter::ApplyBatch(const EdgeDelta& delta) {

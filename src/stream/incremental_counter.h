@@ -67,9 +67,8 @@ struct BatchStats {
   std::uint64_t ops_dropped = 0;  ///< self-loops, duplicates, absent deletes
   ApplyStats applied;             ///< net inserts/deletes/flips + patches
   std::uint64_t and_ops = 0;      ///< slice ANDs issued by the wedge kernel
-  /// Adaptive-policy routing of those ANDs: which kernel path consumed
-  /// each wedge (kernel_backend.h, PairPolicy). Zero under the
-  /// hardware-model kinds and on recount batches (the recount pass
+  /// Kernel-path routing of those ANDs (every wedge goes through the
+  /// zero-copy pair kernel). Zero under the hardware-model kinds and on recount batches (the recount pass
   /// reports through ExecStats of the full count, not here).
   bit::PairPathCounters paths;
   std::uint64_t probe_checks = 0; ///< overlay membership corrections
@@ -104,8 +103,8 @@ class IncrementalCounter {
   /// |N(u) ∩ N(v)| against the pre-batch matrix (zero for vertices
   /// beyond its universe). At the default kBuiltin the four store
   /// combinations are gathered as zero-copy descriptors and the whole
-  /// wedge routes through the adaptive pair policy (kernel_backend.h)
-  /// with one dispatch resolution instead of four per-pair sweeps.
+  /// wedge is summed by one AndPopcountPairsZeroCopy call
+  /// (kernel_backend.h) instead of four per-pair sweeps.
   /// `stats` (when non-null) accumulates and_ops + per-path routing.
   [[nodiscard]] std::uint64_t MatrixCommonNeighbors(
       graph::VertexId u, graph::VertexId v, BatchStats* stats) const;
@@ -117,7 +116,6 @@ class IncrementalCounter {
   /// batch. mutable: MatrixCommonNeighbors is logically const; the
   /// class is single-writer (ApplyBatch is not thread-safe) already.
   mutable std::vector<bit::PairRef> wedge_refs_;
-  mutable bit::PairArena wedge_arena_;
 };
 
 }  // namespace tcim::stream

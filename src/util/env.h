@@ -6,8 +6,8 @@
 //                 TCIM_SCALE=1 reproduces full Table II sizes.
 //   TCIM_SEED   — base RNG seed for workload synthesis (default 42).
 //   TCIM_KERNEL — forces the SIMD kernel backend of the Eq. (5) host
-//                 hot path (scalar|swar64x4|avx2|avx512vpopcnt|neon|
-//                 auto); consumed by bit::ActiveBackend(), see
+//                 hot path (scalar|avx2|avx512vpopcnt|neon|auto);
+//                 consumed by bit::ActiveBackend(), see
 //                 docs/KERNELS.md.
 //
 // Layer: §1 util — see docs/ARCHITECTURE.md.

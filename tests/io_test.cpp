@@ -1,11 +1,18 @@
-// Tests for SNAP text + binary graph serialization.
+// Tests for SNAP text + binary graph serialization, the strict
+// vertex-id token parser both text readers share, and the checked-in
+// malformed-input corpus (tests/data/malformed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "stream/edge_delta.h"
 
 namespace tcim::graph {
 namespace {
@@ -187,6 +194,129 @@ TEST(FileIo, WriteAndReadBackFiles) {
   const Graph from_bin = ReadBinaryFile(bin_path);
   EXPECT_EQ(from_text.num_edges(), original.num_edges());
   EXPECT_EQ(from_bin.num_edges(), original.num_edges());
+}
+
+// --- strict vertex-id tokens ----------------------------------------------
+
+/// The message of the runtime_error `fn` throws ("" when none).
+template <typename Fn>
+std::string ErrorOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(VertexIdToken, AcceptsPlainDecimalUpToTheLimit) {
+  EXPECT_EQ(ParseVertexIdToken("0", 1), 0u);
+  EXPECT_EQ(ParseVertexIdToken("007", 1), 7u);
+  EXPECT_EQ(ParseVertexIdToken("18446744073709551615", 1),
+            18446744073709551615ULL);
+  EXPECT_EQ(ParseVertexIdToken("4294967295", 1, 4294967295u), 4294967295u);
+}
+
+TEST(VertexIdToken, RejectsSignOverflowJunkAndRangeNamingLineAndToken) {
+  const struct {
+    const char* token;
+    std::uint64_t max_id;
+    const char* why;
+  } cases[] = {
+      {"-5", ~0ULL, "has a sign"},
+      {"+5", ~0ULL, "has a sign"},
+      {"18446744073709551616", ~0ULL, "is out of range"},
+      {"99999999999999999999", ~0ULL, "is out of range"},
+      {"4294967296", 4294967295u, "is out of range"},
+      {"2x", ~0ULL, "has trailing junk"},
+      {"1.5", ~0ULL, "has trailing junk"},
+      {"x2", ~0ULL, "is not a decimal integer"},
+      {"", ~0ULL, "is missing"},
+  };
+  for (const auto& c : cases) {
+    const std::string what =
+        ErrorOf([&] { (void)ParseVertexIdToken(c.token, 42, c.max_id); });
+    EXPECT_NE(what.find("line 42"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("'") + c.token + "'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(c.why), std::string::npos) << what;
+  }
+}
+
+TEST(VertexIdToken, NextTokenSplitsOnSpacesTabsAndCarriageReturns) {
+  std::string_view rest = " \t12\t 34\r\n";
+  EXPECT_EQ(NextToken(rest), "12");
+  EXPECT_EQ(NextToken(rest), "34");
+  EXPECT_EQ(NextToken(rest), "\n");
+  EXPECT_EQ(NextToken(rest), "");
+  EXPECT_EQ(NextToken(rest), "");
+}
+
+// --- malformed-input corpus -----------------------------------------------
+//
+// Every file under tests/data/malformed must be rejected by its reader
+// (*.txt: ReadSnapEdgeListFile, *.delta: stream::ReadDeltaFile) with an
+// error naming the line and, where the file's first line says so, the
+// offending token: "# expect: line <N> '<token>'" (or just
+// "# expect: line <N>").
+
+// One instance per file, so a regression names the file it lets through.
+
+std::vector<std::filesystem::path> MalformedCorpusFiles() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(TCIM_MALFORMED_CORPUS_DIR)) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+class MalformedCorpus
+    : public ::testing::TestWithParam<std::filesystem::path> {};
+
+TEST_P(MalformedCorpus, EveryFileIsRejectedNamingLineAndToken) {
+  const std::filesystem::path& path = GetParam();
+  std::string header;
+  {
+    std::ifstream in(path);
+    std::getline(in, header);
+  }
+  const std::string prefix = "# expect: ";
+  ASSERT_EQ(header.rfind(prefix, 0), 0u) << "missing expect header";
+  const std::string expect = header.substr(prefix.size());
+  const std::size_t quote = expect.find('\'');
+  const std::string where = expect.substr(0, quote);
+  const std::string what = ErrorOf([&] {
+    if (path.extension() == ".txt") {
+      (void)ReadSnapEdgeListFile(path.string());
+    } else {
+      ASSERT_EQ(path.extension(), ".delta");
+      (void)stream::ReadDeltaFile(path.string());
+    }
+  });
+  ASSERT_FALSE(what.empty()) << "accepted a malformed file";
+  // "line 5:" so that it cannot match inside "line 50".
+  const std::string line = where.substr(0, where.find_last_not_of(' ') + 1);
+  EXPECT_NE(what.find(line + ":"), std::string::npos) << what;
+  if (quote != std::string::npos) {
+    EXPECT_NE(what.find(expect.substr(quote)), std::string::npos) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Files, MalformedCorpus, ::testing::ValuesIn(MalformedCorpusFiles()),
+    [](const auto& info) { return info.param.stem().string(); });
+
+TEST(MalformedCorpusInventory, CoversBothReaders) {
+  std::size_t snap_files = 0;
+  std::size_t delta_files = 0;
+  for (const std::filesystem::path& path : MalformedCorpusFiles()) {
+    if (path.extension() == ".txt") ++snap_files;
+    if (path.extension() == ".delta") ++delta_files;
+  }
+  EXPECT_GE(snap_files, 5u);
+  EXPECT_GE(delta_files, 5u);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ TEST(KernelBackend, NamesRoundTrip) {
     ASSERT_TRUE(parsed.has_value()) << ToString(backend);
     EXPECT_EQ(*parsed, backend);
   }
-  EXPECT_EQ(ParseKernelBackend("swar"), KernelBackend::kSwar64x4);
+  EXPECT_FALSE(ParseKernelBackend("swar").has_value());
   EXPECT_EQ(ParseKernelBackend("avx512"), KernelBackend::kAvx512Vpopcnt);
   EXPECT_FALSE(ParseKernelBackend("auto").has_value());
   EXPECT_FALSE(ParseKernelBackend("").has_value());
@@ -68,11 +68,9 @@ TEST(KernelBackend, NamesRoundTrip) {
 }
 
 TEST(KernelBackend, DetectionInvariants) {
-  // The portable backends can never be absent: they are the fallback.
+  // The portable backend can never be absent: it is the fallback.
   EXPECT_TRUE(BackendCompiledIn(KernelBackend::kScalar));
-  EXPECT_TRUE(BackendCompiledIn(KernelBackend::kSwar64x4));
   EXPECT_TRUE(BackendSupported(KernelBackend::kScalar));
-  EXPECT_TRUE(BackendSupported(KernelBackend::kSwar64x4));
   // Supported implies compiled in, and the auto pick must be runnable.
   for (const KernelBackend backend : AllKernelBackends()) {
     if (BackendSupported(backend)) {
@@ -181,82 +179,14 @@ TEST_P(BackendParityTest, MismatchedSpanSizesUseCommonPrefix) {
             ReferenceAndPopcount(a, b));
 }
 
-// ---------------------------------------------------------------------------
-// Batched pair kernel: for every supported backend, the single-dispatch
-// block evaluation must equal the per-pair loop it replaced — across
-// every words_per_slice in play (1..8), empty and single-pair arenas,
-// odd tails past every SIMD block width, and blocks big enough to
-// cross the internal flush/Harley–Seal boundaries.
-
-TEST_P(BackendParityTest, BatchedPairsMatchPerPairLoop) {
-  const KernelBackend backend = GetParam();
-  util::Xoshiro256 rng(99);
-  for (std::size_t width = 1; width <= 8; ++width) {
-    for (const std::size_t pairs : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{3}, std::size_t{7},
-                                    std::size_t{65}, std::size_t{1021}}) {
-      PairArena arena;
-      std::uint64_t expected = 0;
-      std::vector<std::uint64_t> a(width);
-      std::vector<std::uint64_t> b(width);
-      for (std::size_t p = 0; p < pairs; ++p) {
-        for (std::size_t k = 0; k < width; ++k) {
-          // Mix of dense and sparse pair payloads.
-          a[k] = (p % 3 == 0) ? rng() : 1ULL << (rng() % 64);
-          b[k] = (p % 5 == 0) ? ~0ULL : rng();
-        }
-        arena.Push(a.data(), b.data(), width);
-        expected += ReferenceAndPopcount(a, b);
-      }
-      ASSERT_EQ(arena.pair_count(), pairs);
-      ASSERT_EQ(arena.word_count(), pairs * width);
-      ASSERT_EQ(AndPopcountPairsBackend(arena, backend), expected)
-          << ToString(backend) << " width=" << width << " pairs=" << pairs;
-    }
-  }
-}
-
-TEST_P(BackendParityTest, BatchedPairsRouteThroughForcedDispatch) {
-  BackendGuard guard;
-  SetActiveBackend(GetParam());
-  util::Xoshiro256 rng(7);
-  PairArena arena;
-  std::uint64_t expected = 0;
-  std::vector<std::uint64_t> a(4);
-  std::vector<std::uint64_t> b(4);
-  for (int p = 0; p < 37; ++p) {
-    for (auto& w : a) w = rng();
-    for (auto& w : b) w = rng();
-    arena.Push(a.data(), b.data(), a.size());
-    expected += ReferenceAndPopcount(a, b);
-  }
-  EXPECT_EQ(AndPopcountPairs(arena), expected);
-  // Clear keeps the capacity but forgets the pairs.
-  arena.Clear();
-  EXPECT_TRUE(arena.Empty());
-  EXPECT_EQ(arena.pair_count(), 0u);
-  EXPECT_EQ(AndPopcountPairs(arena), 0u);
-}
-
-TEST(PairArena, EmptyArenaCountsZeroOnEveryBackend) {
-  const PairArena arena;
-  EXPECT_TRUE(arena.Empty());
-  for (const KernelBackend backend : SupportedKernelBackends()) {
-    EXPECT_EQ(AndPopcountPairsBackend(arena, backend), 0u)
-        << ToString(backend);
-  }
-}
-
-TEST(PairArena, UnsupportedBackendThrows) {
-  PairArena arena;
-  const std::uint64_t word = 0xF0F0F0F0F0F0F0F0ULL;
-  arena.Push(&word, &word, 1);
-  for (const KernelBackend backend : AllKernelBackends()) {
-    if (BackendSupported(backend)) continue;
-    EXPECT_THROW((void)AndPopcountPairsBackend(arena, backend),
-                 std::invalid_argument)
-        << ToString(backend);
-  }
+TEST(ScalarSwarBody, MismatchedSpanSizesUseCommonPrefix) {
+  // The span path of PopcountKind::kSwar sums the common prefix, as
+  // every backend's span path does; past the quad unroll (70 vs 33
+  // words) so both the quad loop and the word tail run.
+  const auto a = MakeWords(70, Fill::kDense, 1001);
+  const auto b = MakeWords(33, Fill::kDense, 1002);
+  EXPECT_EQ(AndPopcount(a, b, PopcountKind::kSwar), ReferenceAndPopcount(a, b));
+  EXPECT_EQ(AndPopcount(b, a, PopcountKind::kSwar), ReferenceAndPopcount(a, b));
 }
 
 // ---------------------------------------------------------------------------
@@ -330,14 +260,13 @@ TEST(ZeroCopyPairs, UnsupportedBackendThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// PairArena block-flush audit: parity exactly at, just under, and just
-// past the 2048-word flush granularity the matrix gather uses — the
-// widths {1, 7, 8} make the boundary land mid-pair, at a pair edge,
-// and at a power-of-two pair edge respectively. Every supported
-// backend must agree with the per-pair reference on both the arena
-// and the zero-copy formulation of the same pair list.
+// Flush-window audit: parity exactly at, just under, and just past the
+// 2048-word flush granularity the matrix gather uses — the widths
+// {1, 7, 8} make the boundary land mid-pair, at a pair edge, and at a
+// power-of-two pair edge respectively. Every supported backend must
+// agree with the per-pair reference on the zero-copy pair list.
 
-TEST_P(BackendParityTest, FlushBoundaryParityOnArenaAndZeroCopy) {
+TEST_P(BackendParityTest, FlushBoundaryParityOnZeroCopy) {
   const KernelBackend backend = GetParam();
   constexpr std::size_t kFlushWords = 2048;
   util::Xoshiro256 rng(20480);
@@ -347,7 +276,6 @@ TEST_P(BackendParityTest, FlushBoundaryParityOnArenaAndZeroCopy) {
     for (const std::size_t pairs :
          {at_boundary - 1, at_boundary, at_boundary + 1,
           2 * at_boundary + 1}) {
-      PairArena arena;
       std::vector<std::vector<std::uint64_t>> storage;
       std::vector<PairRef> refs;
       std::uint64_t expected = 0;
@@ -357,15 +285,12 @@ TEST_P(BackendParityTest, FlushBoundaryParityOnArenaAndZeroCopy) {
         auto b = MakeWords(width, p % 2 == 0 ? Fill::kOnes : Fill::kSparse,
                            rng());
         expected += ReferenceAndPopcount(a, b);
-        arena.Push(a.data(), b.data(), width);
         storage.push_back(std::move(a));
         storage.push_back(std::move(b));
         refs.push_back(PairRef{storage[storage.size() - 2].data(),
                                storage[storage.size() - 1].data(),
                                static_cast<std::uint32_t>(width)});
       }
-      ASSERT_EQ(AndPopcountPairsBackend(arena, backend), expected)
-          << ToString(backend) << " width=" << width << " pairs=" << pairs;
       ASSERT_EQ(AndPopcountPairsZeroCopyBackend(refs, backend), expected)
           << ToString(backend) << " width=" << width << " pairs=" << pairs;
     }
@@ -373,170 +298,58 @@ TEST_P(BackendParityTest, FlushBoundaryParityOnArenaAndZeroCopy) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive pair policy: the decision table, the TCIM_PAIR_POLICY
-// vocabulary, and the process-wide forced override.
+// Direct pair loop: a pure function of (width, store bytes, average
+// valid slices) over three named constants.
 
-/// Restores the forced pair policy (and TCIM_PAIR_POLICY) on scope
-/// exit, mirroring BackendGuard.
-class PairPolicyGuard {
- public:
-  PairPolicyGuard() : saved_(ActivePairPolicy().forced) {
-    const char* env = std::getenv("TCIM_PAIR_POLICY");
-    if (env != nullptr) saved_env_ = env;
-  }
-  ~PairPolicyGuard() {
-    if (saved_env_.has_value()) {
-      ::setenv("TCIM_PAIR_POLICY", saved_env_->c_str(), 1);
-    } else {
-      ::unsetenv("TCIM_PAIR_POLICY");
-    }
-    SetActivePairPolicy(saved_);
-  }
-
- private:
-  std::optional<PairPolicy> saved_;
-  std::optional<std::string> saved_env_;
-};
-
-TEST(PairPolicy, NamesRoundTripAndAliases) {
-  for (const PairPolicy policy : {PairPolicy::kBatched, PairPolicy::kZeroCopy,
-                                  PairPolicy::kPerPair}) {
-    const auto parsed = ParsePairPolicy(ToString(policy));
-    ASSERT_TRUE(parsed.has_value()) << ToString(policy);
-    EXPECT_EQ(*parsed, policy);
-  }
-  EXPECT_EQ(ParsePairPolicy("zero_copy"), PairPolicy::kZeroCopy);
-  EXPECT_EQ(ParsePairPolicy("zero-copy"), PairPolicy::kZeroCopy);
-  EXPECT_EQ(ParsePairPolicy("per_pair"), PairPolicy::kPerPair);
-  EXPECT_EQ(ParsePairPolicy("per-pair"), PairPolicy::kPerPair);
-  EXPECT_FALSE(ParsePairPolicy("auto").has_value());
-  EXPECT_FALSE(ParsePairPolicy("").has_value());
-  EXPECT_FALSE(ParsePairPolicy("Batched").has_value());
-}
-
-TEST(PairPolicy, DefaultDecisionTableRoutesEverythingZeroCopy) {
-  // The measured schema-v4 cells: zero-copy >= batched at every
-  // (width, pairs) cell, so the default config never picks the arena.
-  const PairPolicyConfig cfg;
-  ASSERT_FALSE(cfg.forced.has_value());
-  for (const std::size_t width : {1u, 2u, 4u, 8u, 16u}) {
-    for (const std::size_t pairs : {0u, 1u, 15u, 16u, 2048u}) {
-      EXPECT_EQ(ChoosePairPolicy(width, pairs, cfg), PairPolicy::kZeroCopy)
-          << "width=" << width << " pairs=" << pairs;
-    }
-  }
-}
-
-TEST(PairPolicy, RaisedMinWidthReopensTheBatchedWindow) {
-  // The crossover logic stays testable for ports where a contiguous
-  // stream beats gathered loads: narrow-and-long routes batched,
-  // wide-or-short still routes zero-copy, and kPerPair is only ever
-  // returned when forced.
-  PairPolicyConfig cfg;
-  cfg.zero_copy_min_width = 4;
-  cfg.batched_min_pairs = 16;
-  EXPECT_EQ(ChoosePairPolicy(1, 2048, cfg), PairPolicy::kBatched);
-  EXPECT_EQ(ChoosePairPolicy(3, 16, cfg), PairPolicy::kBatched);
-  EXPECT_EQ(ChoosePairPolicy(1, 15, cfg), PairPolicy::kZeroCopy);
-  EXPECT_EQ(ChoosePairPolicy(4, 2048, cfg), PairPolicy::kZeroCopy);
-  EXPECT_EQ(ChoosePairPolicy(8, 1, cfg), PairPolicy::kZeroCopy);
-  for (const PairPolicy forced :
-       {PairPolicy::kBatched, PairPolicy::kZeroCopy, PairPolicy::kPerPair}) {
-    cfg.forced = forced;
-    EXPECT_EQ(ChoosePairPolicy(1, 2048, cfg), forced);
-    EXPECT_EQ(ChoosePairPolicy(8, 1, cfg), forced);
-  }
-}
-
-TEST(PairPolicy, DirectPairLoopRequiresAllThreeSignals) {
+TEST(DirectPairLoop, RequiresAllThreeSignals) {
   // The cold-no-reuse regime needs every signal at once: wide slices,
-  // a store that spills the cache, and no slice reuse to amortize the
+  // stores that spill the cache, and no slice reuse to amortize the
   // deferred flush against.
-  const PairPolicyConfig cfg;
-  const std::uint64_t spill = cfg.direct_min_store_bytes + 1;
-  EXPECT_TRUE(ChooseDirectPairLoop(8, spill, 1.3, cfg));
-  EXPECT_TRUE(ChooseDirectPairLoop(16, spill * 4, 1.0, cfg));
+  const std::uint64_t spill = kDirectMinStoreBytes + 1;
+  EXPECT_TRUE(ChooseDirectPairLoop(8, spill, 1.3));
+  EXPECT_TRUE(ChooseDirectPairLoop(16, spill * 4, 1.0));
   // Any one signal missing keeps the gathered executor.
-  EXPECT_FALSE(ChooseDirectPairLoop(7, spill, 1.3, cfg));     // narrow
-  EXPECT_FALSE(ChooseDirectPairLoop(8, spill - 2, 1.3, cfg))  // cache-resident
+  EXPECT_FALSE(ChooseDirectPairLoop(7, spill, 1.3));     // narrow
+  EXPECT_FALSE(ChooseDirectPairLoop(8, spill - 2, 1.3))  // cache-resident
       << "store at the threshold must stay gathered";
-  EXPECT_FALSE(ChooseDirectPairLoop(8, spill, 1.7, cfg));  // hub reuse
+  EXPECT_FALSE(ChooseDirectPairLoop(8, spill, 1.7));  // hub reuse
   // Threshold edges: width and avg-valid-slices are inclusive, bytes
   // is strictly greater-than.
-  EXPECT_TRUE(ChooseDirectPairLoop(cfg.direct_min_width, spill,
-                                   cfg.direct_max_avg_valid_slices, cfg));
-  EXPECT_FALSE(ChooseDirectPairLoop(8, cfg.direct_min_store_bytes, 1.3, cfg));
-}
-
-TEST(PairPolicy, DirectPairLoopNeverFiresWhenForced) {
-  // Forcing a policy pins the gathered executor; the pass-level direct
-  // rule must stand down so forced A/B runs measure what they claim.
-  PairPolicyConfig cfg;
-  const std::uint64_t spill = cfg.direct_min_store_bytes + 1;
-  ASSERT_TRUE(ChooseDirectPairLoop(8, spill, 1.0, cfg));
-  for (const PairPolicy forced :
-       {PairPolicy::kBatched, PairPolicy::kZeroCopy, PairPolicy::kPerPair}) {
-    cfg.forced = forced;
-    EXPECT_FALSE(ChooseDirectPairLoop(8, spill, 1.0, cfg));
-  }
-}
-
-TEST(PairPolicy, SetActivePairPolicyRoundTrips) {
-  PairPolicyGuard guard;
-  for (const PairPolicy forced :
-       {PairPolicy::kBatched, PairPolicy::kZeroCopy, PairPolicy::kPerPair}) {
-    SetActivePairPolicy(forced);
-    const PairPolicyConfig cfg = ActivePairPolicy();
-    ASSERT_TRUE(cfg.forced.has_value());
-    EXPECT_EQ(*cfg.forced, forced);
-    EXPECT_EQ(ChoosePairPolicy(1, 2048, cfg), forced);
-  }
-  SetActivePairPolicy(std::nullopt);
-  EXPECT_FALSE(ActivePairPolicy().forced.has_value());
-}
-
-TEST(PairPolicy, EnvOverrideRoundTrips) {
-  PairPolicyGuard guard;
-  for (const char* name : {"batched", "zerocopy", "perpair"}) {
-    ::setenv("TCIM_PAIR_POLICY", name, 1);
-    const PairPolicyConfig cfg = RefreshPairPolicyFromEnv();
-    ASSERT_TRUE(cfg.forced.has_value()) << name;
-    EXPECT_EQ(*cfg.forced, *ParsePairPolicy(name)) << name;
-  }
-  ::setenv("TCIM_PAIR_POLICY", "auto", 1);
-  EXPECT_FALSE(RefreshPairPolicyFromEnv().forced.has_value());
-  ::unsetenv("TCIM_PAIR_POLICY");
-  EXPECT_FALSE(RefreshPairPolicyFromEnv().forced.has_value());
-  // Unknown values warn and mean auto, mirroring TCIM_KERNEL.
-  ::setenv("TCIM_PAIR_POLICY", "quantum", 1);
-  EXPECT_FALSE(RefreshPairPolicyFromEnv().forced.has_value());
+  EXPECT_TRUE(ChooseDirectPairLoop(kDirectMinWidth, spill,
+                                   kDirectMaxAvgValidSlices));
+  EXPECT_FALSE(ChooseDirectPairLoop(kDirectMinWidth - 1, spill,
+                                    kDirectMaxAvgValidSlices));
+  EXPECT_FALSE(ChooseDirectPairLoop(kDirectMinWidth, spill,
+                                    kDirectMaxAvgValidSlices + 1e-9));
+  EXPECT_FALSE(ChooseDirectPairLoop(8, kDirectMinStoreBytes, 1.3));
+  // Usable in constant expressions: no config, no env, no override.
+  static_assert(ChooseDirectPairLoop(kDirectMinWidth, kDirectMinStoreBytes + 1,
+                                     kDirectMaxAvgValidSlices));
 }
 
 // ---------------------------------------------------------------------------
-// kSwar64x4 is formally the no-POPCNT fallback: the code has always
-// claimed auto-dispatch never picks it over scalar-with-POPCNT; this
-// pins the claim down (the schema-v1 seed measured it at 0.39–0.45x
-// scalar, so selecting it would be a real end-to-end regression).
+// kScalar without a hardware popcount runs the quad-SWAR span kernel
+// (AndPopcountSwar); that body is the PopcountKind::kSwar span path
+// too, so it is exercised here on every machine, POPCNT or not.
 
-TEST(KernelBackendDispatch, AutoNeverPicksSwarWhenScalarHasPopcnt) {
-  if (ScalarHasPopcntInstruction()) {
-    EXPECT_NE(BestSupportedBackend(), KernelBackend::kSwar64x4);
-    BackendGuard guard;
-    ::unsetenv("TCIM_KERNEL");
-    EXPECT_NE(RefreshActiveBackendFromEnv(), KernelBackend::kSwar64x4);
-    ::setenv("TCIM_KERNEL", "auto", 1);
-    EXPECT_NE(RefreshActiveBackendFromEnv(), KernelBackend::kSwar64x4);
-  } else {
-    // Without a hardware popcount, the SWAR unroll is exactly what
-    // auto-dispatch should fall back to when no SIMD backend runs.
-    bool any_simd = false;
-    for (const KernelBackend backend :
-         {KernelBackend::kAvx2, KernelBackend::kAvx512Vpopcnt,
-          KernelBackend::kNeon}) {
-      any_simd = any_simd || BackendSupported(backend);
-    }
-    if (!any_simd) {
-      EXPECT_EQ(BestSupportedBackend(), KernelBackend::kSwar64x4);
+TEST(ScalarSwarBody, MatchesReferenceOnAllShapes) {
+  const Fill fills[] = {Fill::kZero, Fill::kOnes, Fill::kDense, Fill::kSparse,
+                        Fill::kAlternating};
+  std::uint64_t seed = 4099;
+  for (const std::size_t n : kLengths) {
+    for (const Fill fa : fills) {
+      for (const Fill fb : fills) {
+        const auto a = MakeWords(n, fa, seed++);
+        const auto b = MakeWords(n, fb, seed++);
+        const std::uint64_t expected = ReferenceAndPopcount(a, b);
+        ASSERT_EQ(AndPopcountSwar(a.data(), b.data(), n), expected)
+            << "n=" << n;
+        ASSERT_EQ(AndPopcount(a, b, PopcountKind::kSwar), expected)
+            << "n=" << n;
+        ASSERT_EQ(PopcountWords(a, PopcountKind::kSwar),
+                  ReferenceAndPopcount(a, a))
+            << "n=" << n;
+      }
     }
   }
 }
@@ -612,6 +425,49 @@ TEST(KernelBackendPipeline, TableTwoStandInsCountIdenticallyOnAllBackends) {
     }
   }
 }
+
+// Routing: the host pass picks its pair path from the stores alone.
+// At test scale every Table II stand-in's stores are cache-resident,
+// so at both slice widths every valid pair must go through the
+// zero-copy kernel — a pair on the direct loop here means the route
+// rule misfired (the misroute class the perf harness used to audit).
+// One instance per stand-in, so a misroute names its dataset.
+class TableTwoRoutingTest
+    : public ::testing::TestWithParam<graph::PaperDataset> {};
+
+TEST_P(TableTwoRoutingTest, EveryPairRoutesZeroCopy) {
+  const graph::PaperRef& ref = graph::GetPaperRef(GetParam());
+  const graph::DatasetInstance inst =
+      graph::SynthesizePaperGraph(ref.id, /*scale=*/0.02, /*seed=*/42);
+  for (const std::uint32_t slice_bits : {64u, 512u}) {
+    const bit::SlicedMatrix matrix = core::BuildSlicedMatrix(
+        inst.graph, graph::Orientation::kUpper, slice_bits);
+    PairPathCounters paths;
+    (void)matrix.AndPopcountAllEdges(PopcountKind::kBuiltin, &paths);
+    EXPECT_EQ(paths.per_pair_pairs, 0u) << ref.name << " |S|=" << slice_bits;
+    EXPECT_EQ(paths.zero_copy_pairs, matrix.ComputeStats().valid_pairs)
+        << ref.name << " |S|=" << slice_bits;
+  }
+}
+
+std::vector<graph::PaperDataset> AllPaperDatasets() {
+  std::vector<graph::PaperDataset> ids;
+  for (const graph::PaperRef& ref : graph::AllPaperRefs()) {
+    ids.push_back(ref.id);
+  }
+  return ids;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TableTwoStandIns, TableTwoRoutingTest,
+    ::testing::ValuesIn(AllPaperDatasets()), [](const auto& info) {
+      // SNAP names use '-', which a test name cannot hold.
+      std::string name = graph::GetPaperRef(info.param).name;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace tcim::bit

@@ -82,10 +82,11 @@ constexpr Orientation kOrientations[] = {
 
 /// Sums every bank's raw shard bitcount under `plan`.
 std::uint64_t SumShards(const bit::SlicedMatrix& matrix, const TilePlan2d& plan,
-                        const bit::SlicedStore* replica = nullptr) {
+                        const bit::SlicedStore* replica = nullptr,
+                        bit::PopcountKind kind = bit::PopcountKind::kBuiltin) {
   std::uint64_t raw = 0;
   for (std::uint32_t b = 0; b < plan.num_banks; ++b) {
-    raw += runtime::CountBankShard2d(matrix, plan, b, replica);
+    raw += runtime::CountBankShard2d(matrix, plan, b, replica, kind);
   }
   return raw;
 }
@@ -115,6 +116,10 @@ TEST_P(Partition2dExactnessTest, EveryCellMatchesBaselineRawAndDivided) {
       const std::uint64_t raw_full =
           matrix.AndPopcountRows(0, matrix.num_vertices());
       EXPECT_EQ(SumShards(matrix, *p.plan2d), raw_full);
+      // The hardware-model branch of the same row pass: LUT8 tiles sum
+      // to the same raw total.
+      EXPECT_EQ(SumShards(matrix, *p.plan2d, nullptr, bit::PopcountKind::kLut8),
+                raw_full);
       EXPECT_EQ(raw_full / graph::CountMultiplier(orientation), expected);
       // And the pool's serving read path agrees end to end.
       const BankPool pool{Pool2dConfig(banks, slice_bits)};

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -344,9 +343,9 @@ TEST(SlicedMatrix, HeapBytesPositiveForNonEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched Eq. (5) evaluation: AndPopcountAllEdges/AndPopcountRows now
+// Gathered Eq. (5) evaluation: AndPopcountAllEdges/AndPopcountRows
 // gather valid pairs and issue block dispatches; these tests pin the
-// batched path to the per-pair formulation it replaced, across slice
+// gathered path to the per-pair formulation it replaced, across slice
 // widths (words_per_slice 1..8), row shards, and forced backends.
 
 /// Random upper-triangular CSR over `n` vertices with ~`avg_degree`
@@ -452,7 +451,7 @@ TEST(SlicedMatrixBatched, HotPathNeverTouchesHardwareModelCounters) {
   (void)m.AndPopcountRows(0, m.num_vertices());
   (void)AndPopcountVectors(m.rows(), 0, m.cols(), 1);
   EXPECT_EQ(Lut8Invocations(), before)
-      << "batched kBuiltin path fed words to the LUT8 hardware model";
+      << "gathered kBuiltin path fed words to the LUT8 hardware model";
   // The hardware-model strategy still routes through it, per word.
   const std::uint64_t lut_total = m.AndPopcountAllEdges(PopcountKind::kLut8);
   EXPECT_EQ(lut_total, m.AndPopcountAllEdges());
@@ -460,69 +459,26 @@ TEST(SlicedMatrixBatched, HotPathNeverTouchesHardwareModelCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive pair policy at the matrix level: every forced policy and
-// the auto rule must produce the exact per-pair total, and the
-// PairPathCounters must attribute every gathered pair to the path
-// that actually consumed it.
+// Pair routing at the matrix level: the adaptive pass must produce the
+// exact per-pair total on both routes, and the PairPathCounters must
+// attribute every gathered pair to the path that actually consumed it.
 
-/// Restores the forced pair policy on scope exit.
-class PairPolicyGuard {
- public:
-  PairPolicyGuard() : saved_(ActivePairPolicy().forced) {}
-  ~PairPolicyGuard() { SetActivePairPolicy(saved_); }
-
- private:
-  std::optional<PairPolicy> saved_;
-};
-
-TEST(SlicedMatrixPolicy, ForcedPoliciesAgreeAndRouteCounters) {
-  PairPolicyGuard guard;
+TEST(SlicedMatrixRouting, ZeroCopyRouteCountsEveryPair) {
   for (const std::uint32_t slice_bits : {64u, 448u, 512u}) {
     const SlicedMatrix m = RandomUpperMatrix(300, 6, slice_bits, 2024);
     const std::uint64_t expected = PerPairReference(m);
-
-    SetActivePairPolicy(std::nullopt);
-    PairPathCounters auto_counters;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &auto_counters),
+    PairPathCounters counters;
+    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &counters),
               expected)
         << "slice_bits=" << slice_bits;
-    // Default decision table: zero-copy at every width (schema-v4
-    // measurement — the arena memcpy never pays for itself).
-    EXPECT_EQ(auto_counters.batched_pairs, 0u);
-    EXPECT_EQ(auto_counters.per_pair_pairs, 0u);
-    EXPECT_GT(auto_counters.zero_copy_pairs, 0u);
-    const std::uint64_t total_pairs = auto_counters.TotalPairs();
-
-    SetActivePairPolicy(PairPolicy::kBatched);
-    PairPathCounters batched;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &batched),
-              expected);
-    EXPECT_EQ(batched.batched_pairs, total_pairs);
-    EXPECT_EQ(batched.zero_copy_pairs, 0u);
-    EXPECT_EQ(batched.per_pair_pairs, 0u);
-    EXPECT_GT(batched.batched_flushes, 0u);
-
-    SetActivePairPolicy(PairPolicy::kZeroCopy);
-    PairPathCounters zero_copy;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &zero_copy),
-              expected);
-    EXPECT_EQ(zero_copy.zero_copy_pairs, total_pairs);
-    EXPECT_EQ(zero_copy.batched_pairs, 0u);
-    EXPECT_GT(zero_copy.zero_copy_flushes, 0u);
-
-    SetActivePairPolicy(PairPolicy::kPerPair);
-    PairPathCounters per_pair;
-    EXPECT_EQ(m.AndPopcountAllEdges(PopcountKind::kBuiltin, &per_pair),
-              expected);
-    EXPECT_EQ(per_pair.per_pair_pairs, total_pairs);
-    EXPECT_EQ(per_pair.batched_pairs, 0u);
-    EXPECT_EQ(per_pair.zero_copy_pairs, 0u);
+    // A cache-resident store never takes the direct loop.
+    EXPECT_EQ(counters.per_pair_pairs, 0u);
+    EXPECT_EQ(counters.zero_copy_pairs, m.ComputeStats().valid_pairs);
+    EXPECT_GT(counters.zero_copy_flushes, 0u);
   }
 }
 
-TEST(SlicedMatrixPolicy, RowShardCountersSumToWholeMatrix) {
-  PairPolicyGuard guard;
-  SetActivePairPolicy(std::nullopt);
+TEST(SlicedMatrixRouting, RowShardCountersSumToWholeMatrix) {
   const SlicedMatrix m = RandomUpperMatrix(400, 7, 64, 4096);
   PairPathCounters whole;
   const std::uint64_t total =
@@ -540,23 +496,33 @@ TEST(SlicedMatrixPolicy, RowShardCountersSumToWholeMatrix) {
   EXPECT_EQ(sharded.zero_copy_pairs, whole.zero_copy_pairs);
 }
 
-TEST(SlicedMatrixPolicy, FlushBoundaryParityUnderEveryPolicy) {
+TEST(SlicedMatrixRouting, FlushBoundaryParity) {
   // Dense enough that single rows gather past the 2 Ki-word flush
-  // block repeatedly; the total must be exact on every route.
-  PairPolicyGuard guard;
+  // window repeatedly; the total must be exact.
   const SlicedMatrix m = RandomUpperMatrix(700, 700, 64, 31415);
-  const std::uint64_t expected = PerPairReference(m);
-  for (const std::optional<PairPolicy> forced :
-       {std::optional<PairPolicy>{}, std::optional{PairPolicy::kBatched},
-        std::optional{PairPolicy::kZeroCopy},
-        std::optional{PairPolicy::kPerPair}}) {
-    SetActivePairPolicy(forced);
-    EXPECT_EQ(m.AndPopcountAllEdges(), expected)
-        << (forced.has_value() ? ToString(*forced) : "auto");
-  }
+  EXPECT_EQ(m.AndPopcountAllEdges(), PerPairReference(m));
 }
 
-TEST(SlicedStoreGather, GatherValidPairsMatchesMergeAndCountsPairs) {
+TEST(SlicedMatrixRouting, DirectLoopFiresOnColdWideStoresAndStaysExact) {
+  // A sparse |S|=512 matrix big enough that its two stores exceed
+  // kDirectMinStoreBytes, with ~1 valid slice per row: the direct-loop
+  // regime. Every pair must go through the per-pair path and the
+  // total must equal the zero-copy-routed row shards' sum.
+  constexpr std::uint32_t kN = 300000;
+  const SlicedMatrix m = RandomUpperMatrix(kN, 1, 512, 77);
+  ASSERT_GT(m.HeapBytes(), kDirectMinStoreBytes);
+  ASSERT_TRUE(ChooseDirectPairLoop(
+      m.rows().words_per_slice(), m.HeapBytes(),
+      static_cast<double>(m.rows().valid_slice_count()) / kN));
+  PairPathCounters counters;
+  const std::uint64_t total =
+      m.AndPopcountAllEdges(PopcountKind::kBuiltin, &counters);
+  EXPECT_EQ(counters.zero_copy_pairs, 0u);
+  EXPECT_EQ(counters.per_pair_pairs, m.ComputeStats().valid_pairs);
+  EXPECT_EQ(total, PerPairReference(m));
+}
+
+TEST(SlicedStoreGather, GatherValidPairRefsMatchesMergeAndCountsPairs) {
   ActiveBackendGuard guard;
   const SlicedMatrix m = RandomUpperMatrix(120, 10, 64, 321);
   for (std::uint32_t u = 0; u < 40; ++u) {
@@ -573,11 +539,11 @@ TEST(SlicedStoreGather, GatherValidPairsMatchesMergeAndCountsPairs) {
                   ref)
             << "u=" << u << " v=" << v << " backend=" << ToString(backend);
         EXPECT_EQ(pairs, ref_pairs);
-        PairArena arena;
-        EXPECT_EQ(GatherValidPairs(m.rows(), u, m.cols(), v, arena),
+        std::vector<PairRef> refs;
+        EXPECT_EQ(GatherValidPairRefs(m.rows(), u, m.cols(), v, refs),
                   ref_pairs);
-        EXPECT_EQ(arena.pair_count(), ref_pairs);
-        EXPECT_EQ(AndPopcountPairs(arena), ref);
+        EXPECT_EQ(refs.size(), ref_pairs);
+        EXPECT_EQ(AndPopcountPairsZeroCopy(refs), ref);
       }
     }
   }
@@ -586,8 +552,8 @@ TEST(SlicedStoreGather, GatherValidPairsMatchesMergeAndCountsPairs) {
 TEST(SlicedStoreGather, MismatchedSliceBitsThrow) {
   const SlicedStore a = MakeStore(1, 128, {{0, 64}}, 64);
   const SlicedStore b = MakeStore(1, 128, {{0, 64}}, 32);
-  PairArena arena;
-  EXPECT_THROW((void)GatherValidPairs(a, 0, b, 0, arena),
+  std::vector<PairRef> refs;
+  EXPECT_THROW((void)GatherValidPairRefs(a, 0, b, 0, refs),
                std::invalid_argument);
   EXPECT_THROW((void)AndPopcountVectors(a, 0, b, 0, PopcountKind::kSwar),
                std::invalid_argument);

@@ -69,8 +69,8 @@ TEST(EdgeDeltaIo, ThrowsOnMalformedLine) {
   std::istringstream missing_field("+ 7\n");
   EXPECT_THROW((void)stream::ReadDeltaStream(missing_field),
                std::runtime_error);
-  // Ids that do not fit VertexId must be rejected, not truncated;
-  // negative input wraps to huge unsigned and is caught the same way.
+  // Ids that do not fit VertexId must be rejected, not truncated, and
+  // a signed id is rejected outright (it used to wrap to huge unsigned).
   std::istringstream too_big("+ 4294967296 5\n");
   EXPECT_THROW((void)stream::ReadDeltaStream(too_big), std::runtime_error);
   std::istringstream negative("- 0 -1\n");
@@ -346,7 +346,7 @@ TEST(IncrementalCounter, SingleInsertClosesWedges) {
 
 TEST(IncrementalCounter, BatchedWedgeKernelSkipsHardwareModel) {
   // The 4-way wedge kernel gathers all four store combinations into
-  // one batched dispatch at the default kBuiltin — never feeding the
+  // one zero-copy kernel call at the default kBuiltin — never feeding the
   // LUT8 hardware-model counter — while a kLut8-configured counter
   // still routes through the exact per-word model and stays exact.
   stream::StreamConfig config;
@@ -370,52 +370,21 @@ TEST(IncrementalCounter, BatchedWedgeKernelSkipsHardwareModel) {
   EXPECT_EQ(r.triangles, RecountTruth(modeled));
 }
 
-TEST(IncrementalCounter, WedgeKernelExactUnderEveryPairPolicy) {
-  // The same insert batch must produce the same triangle delta on
-  // every forced pair-enumeration policy, and BatchStats.paths must
-  // attribute the wedge ANDs to the path that actually ran (the auto
-  // rule routes every width zero-copy; see kernel_backend.h).
-  const std::optional<bit::PairPolicy> saved = bit::ActivePairPolicy().forced;
+TEST(IncrementalCounter, WedgeKernelRoutesZeroCopyAndStaysExact) {
+  // The insert batch must produce the exact triangle delta, and
+  // BatchStats.paths must attribute every wedge AND to the zero-copy
+  // pair kernel, the only route the wedge kernel has.
   stream::StreamConfig config;
   config.recount_fraction = 1.0;
-
-  bit::SetActivePairPolicy(std::nullopt);
-  {
-    stream::IncrementalCounter counter(SeedGraph(), config);
-    EdgeDelta delta;
-    delta.Insert(0, 3);
-    const stream::BatchResult r = counter.ApplyBatch(delta);
-    EXPECT_EQ(r.delta, 2);
-    EXPECT_GT(r.stats.paths.zero_copy_pairs, 0u);
-    EXPECT_EQ(r.stats.paths.batched_pairs, 0u);
-    EXPECT_EQ(r.stats.paths.per_pair_pairs, 0u);
-    EXPECT_EQ(r.stats.paths.TotalPairs(), r.stats.and_ops);
-  }
-  for (const bit::PairPolicy forced :
-       {bit::PairPolicy::kBatched, bit::PairPolicy::kZeroCopy,
-        bit::PairPolicy::kPerPair}) {
-    bit::SetActivePairPolicy(forced);
-    stream::IncrementalCounter counter(SeedGraph(), config);
-    EdgeDelta delta;
-    delta.Insert(0, 3);
-    const stream::BatchResult r = counter.ApplyBatch(delta);
-    EXPECT_EQ(r.delta, 2) << bit::ToString(forced);
-    EXPECT_EQ(r.triangles, RecountTruth(counter)) << bit::ToString(forced);
-    EXPECT_EQ(r.stats.paths.TotalPairs(), r.stats.and_ops)
-        << bit::ToString(forced);
-    switch (forced) {
-      case bit::PairPolicy::kBatched:
-        EXPECT_EQ(r.stats.paths.batched_pairs, r.stats.and_ops);
-        break;
-      case bit::PairPolicy::kZeroCopy:
-        EXPECT_EQ(r.stats.paths.zero_copy_pairs, r.stats.and_ops);
-        break;
-      case bit::PairPolicy::kPerPair:
-        EXPECT_EQ(r.stats.paths.per_pair_pairs, r.stats.and_ops);
-        break;
-    }
-  }
-  bit::SetActivePairPolicy(saved);
+  stream::IncrementalCounter counter(SeedGraph(), config);
+  EdgeDelta delta;
+  delta.Insert(0, 3);
+  const stream::BatchResult r = counter.ApplyBatch(delta);
+  EXPECT_EQ(r.delta, 2);
+  EXPECT_EQ(r.triangles, RecountTruth(counter));
+  EXPECT_GT(r.stats.paths.zero_copy_pairs, 0u);
+  EXPECT_EQ(r.stats.paths.per_pair_pairs, 0u);
+  EXPECT_EQ(r.stats.paths.TotalPairs(), r.stats.and_ops);
 }
 
 TEST(IncrementalCounter, SingleDeleteOpensWedges) {
