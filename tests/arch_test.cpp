@@ -1,16 +1,22 @@
 // Tests for the architecture layer: set-associative slice cache
 // (policies, stats invariants), the slice mapper's physical
-// consistency, and the Algorithm-1 controller on known inputs.
+// consistency, the Algorithm-1 controller on known inputs, and the
+// golden ExecStats of the 9 Table II stand-ins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "arch/controller.h"
 #include "arch/mapper.h"
 #include "arch/slice_cache.h"
 #include "bitmatrix/sliced_matrix.h"
+#include "core/bitwise_tc.h"
+#include "graph/datasets.h"
 #include "util/rng.h"
 
 namespace tcim::arch {
@@ -495,6 +501,189 @@ TEST(Controller, RejectsSliceWidthMismatch) {
       bit::SlicedMatrix::FromCsr(2, offsets, neighbors, 32);
   EXPECT_THROW((void)controller.Run(matrix), std::invalid_argument);
 }
+
+// ---------------------------------------------------------------------------
+// Golden ExecStats: the simulator's full statistics on the 9 Table II
+// stand-ins (scale 0.02, seed 42, |S| = 64, upper orientation) under
+// every replacement policy, in a 64 KiB array small enough that every
+// row exchanges. Any change to the controller, cache or mapper that
+// moves one counter — including the RNG draws of the random policy —
+// fails here. Run, RunRows(0, n) and a one-tile RunPlan must all
+// reproduce the same numbers.
+
+struct GoldenStats {
+  const char* dataset;
+  ReplacementPolicy policy;
+  // edges, valid_pairs, row_writes, spread, col_writes, replica_writes,
+  // bitcount_words
+  std::uint64_t work[7];
+  // lookups, hits, misses, exchanges, inserts, accumulated_bitcount,
+  // sum(per_subarray_ands), sum(per_subarray_writes)
+  std::uint64_t totals[8];
+};
+
+const GoldenStats kGoldenStats[] = {
+    {"ego-facebook", ReplacementPolicy::kLru,
+     {88466u, 120375u, 9411u, 1u, 10555u, 0u, 120375u},
+     {120375u, 109820u, 10555u, 5115u, 10555u, 792484u, 120375u, 19966u}},
+    {"ego-facebook", ReplacementPolicy::kFifo,
+     {88466u, 120375u, 9411u, 1u, 10843u, 0u, 120375u},
+     {120375u, 109532u, 10843u, 5403u, 10843u, 792484u, 120375u, 20254u}},
+    {"ego-facebook", ReplacementPolicy::kRandom,
+     {88466u, 120375u, 9411u, 1u, 11318u, 0u, 120375u},
+     {120375u, 109057u, 11318u, 5878u, 11318u, 792484u, 120375u, 20729u}},
+    {"email-enron", ReplacementPolicy::kLru,
+     {183626u, 222223u, 61802u, 1u, 99464u, 0u, 222223u},
+     {222223u, 122759u, 99464u, 94024u, 99464u, 299929u, 222223u, 161266u}},
+    {"email-enron", ReplacementPolicy::kFifo,
+     {183626u, 222223u, 61802u, 1u, 99609u, 0u, 222223u},
+     {222223u, 122614u, 99609u, 94169u, 99609u, 299929u, 222223u, 161411u}},
+    {"email-enron", ReplacementPolicy::kRandom,
+     {183626u, 222223u, 61802u, 1u, 100024u, 0u, 222223u},
+     {222223u, 122199u, 100024u, 94584u, 100024u, 299929u, 222223u, 161826u}},
+    {"com-amazon", ReplacementPolicy::kLru,
+     {18461u, 20098u, 7587u, 1u, 7712u, 0u, 20098u},
+     {20098u, 12386u, 7712u, 2272u, 7712u, 9634u, 20098u, 15299u}},
+    {"com-amazon", ReplacementPolicy::kFifo,
+     {18461u, 20098u, 7587u, 1u, 7758u, 0u, 20098u},
+     {20098u, 12340u, 7758u, 2318u, 7758u, 9634u, 20098u, 15345u}},
+    {"com-amazon", ReplacementPolicy::kRandom,
+     {18461u, 20098u, 7587u, 1u, 7810u, 0u, 20098u},
+     {20098u, 12288u, 7810u, 2370u, 7810u, 9634u, 20098u, 15397u}},
+    {"com-dblp", ReplacementPolicy::kLru,
+     {20947u, 22578u, 7251u, 1u, 7319u, 0u, 22578u},
+     {22578u, 15259u, 7319u, 1879u, 7319u, 27684u, 22578u, 14570u}},
+    {"com-dblp", ReplacementPolicy::kFifo,
+     {20947u, 22578u, 7251u, 1u, 7332u, 0u, 22578u},
+     {22578u, 15246u, 7332u, 1892u, 7332u, 27684u, 22578u, 14583u}},
+    {"com-dblp", ReplacementPolicy::kRandom,
+     {20947u, 22578u, 7251u, 1u, 7367u, 0u, 22578u},
+     {22578u, 15211u, 7367u, 1927u, 7367u, 27684u, 22578u, 14618u}},
+    {"com-youtube", ReplacementPolicy::kLru,
+     {59752u, 277774u, 21203u, 1u, 210636u, 0u, 277774u},
+     {277774u, 67138u, 210636u, 205413u, 210636u, 102543u, 277774u, 231839u}},
+    {"com-youtube", ReplacementPolicy::kFifo,
+     {59752u, 277774u, 21203u, 1u, 215736u, 0u, 277774u},
+     {277774u, 62038u, 215736u, 210513u, 215736u, 102543u, 277774u, 236939u}},
+    {"com-youtube", ReplacementPolicy::kRandom,
+     {59752u, 277774u, 21203u, 1u, 213775u, 0u, 277774u},
+     {277774u, 63999u, 213775u, 208552u, 213775u, 102543u, 277774u, 234978u}},
+    {"roadNet-PA", ReplacementPolicy::kLru,
+     {30774u, 35755u, 24718u, 1u, 24755u, 0u, 35755u},
+     {35755u, 11000u, 24755u, 19315u, 24755u, 1211u, 35755u, 49473u}},
+    {"roadNet-PA", ReplacementPolicy::kFifo,
+     {30774u, 35755u, 24718u, 1u, 24755u, 0u, 35755u},
+     {35755u, 11000u, 24755u, 19315u, 24755u, 1211u, 35755u, 49473u}},
+    {"roadNet-PA", ReplacementPolicy::kRandom,
+     {30774u, 35755u, 24718u, 1u, 25575u, 0u, 35755u},
+     {35755u, 10180u, 25575u, 20135u, 25575u, 1211u, 35755u, 50293u}},
+    {"roadNet-TX", ReplacementPolicy::kLru,
+     {38639u, 44740u, 30934u, 1u, 30976u, 0u, 44740u},
+     {44740u, 13764u, 30976u, 25536u, 30976u, 1550u, 44740u, 61910u}},
+    {"roadNet-TX", ReplacementPolicy::kFifo,
+     {38639u, 44740u, 30934u, 1u, 30976u, 0u, 44740u},
+     {44740u, 13764u, 30976u, 25536u, 30976u, 1550u, 44740u, 61910u}},
+    {"roadNet-TX", ReplacementPolicy::kRandom,
+     {38639u, 44740u, 30934u, 1u, 32019u, 0u, 44740u},
+     {44740u, 12721u, 32019u, 26579u, 32019u, 1550u, 44740u, 62953u}},
+    {"roadNet-CA", ReplacementPolicy::kLru,
+     {55218u, 64169u, 44408u, 1u, 44397u, 0u, 64169u},
+     {64169u, 19772u, 44397u, 38957u, 44397u, 2135u, 64169u, 88805u}},
+    {"roadNet-CA", ReplacementPolicy::kFifo,
+     {55218u, 64169u, 44408u, 1u, 44397u, 0u, 64169u},
+     {64169u, 19772u, 44397u, 38957u, 44397u, 2135u, 64169u, 88805u}},
+    {"roadNet-CA", ReplacementPolicy::kRandom,
+     {55218u, 64169u, 44408u, 1u, 45965u, 0u, 64169u},
+     {64169u, 18204u, 45965u, 40525u, 45965u, 2135u, 64169u, 90373u}},
+    {"com-lj", ReplacementPolicy::kLru,
+     {693878u, 816717u, 163983u, 1u, 247013u, 0u, 816717u},
+     {816717u, 569704u, 247013u, 241573u, 247013u, 2475470u, 816717u, 410996u}},
+    {"com-lj", ReplacementPolicy::kFifo,
+     {693878u, 816717u, 163983u, 1u, 247579u, 0u, 816717u},
+     {816717u, 569138u, 247579u, 242139u, 247579u, 2475470u, 816717u, 411562u}},
+    {"com-lj", ReplacementPolicy::kRandom,
+     {693878u, 816717u, 163983u, 1u, 250709u, 0u, 816717u},
+     {816717u, 566008u, 250709u, 245269u, 250709u, 2475470u, 816717u, 414692u}},
+};
+
+std::uint64_t Sum(const std::vector<std::uint64_t>& v) {
+  return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
+}
+
+void ExpectGolden(const ExecStats& s, const GoldenStats& g) {
+  EXPECT_EQ(s.edges_processed, g.work[0]);
+  EXPECT_EQ(s.valid_pairs, g.work[1]);
+  EXPECT_EQ(s.row_slice_writes, g.work[2]);
+  EXPECT_EQ(s.spread, g.work[3]);
+  EXPECT_EQ(s.col_slice_writes, g.work[4]);
+  EXPECT_EQ(s.replica_slice_writes, g.work[5]);
+  EXPECT_EQ(s.bitcount_words, g.work[6]);
+  EXPECT_EQ(s.cache.lookups, g.totals[0]);
+  EXPECT_EQ(s.cache.hits, g.totals[1]);
+  EXPECT_EQ(s.cache.misses, g.totals[2]);
+  EXPECT_EQ(s.cache.exchanges, g.totals[3]);
+  EXPECT_EQ(s.cache.inserts, g.totals[4]);
+  EXPECT_EQ(s.accumulated_bitcount, g.totals[5]);
+  EXPECT_EQ(Sum(s.per_subarray_ands), g.totals[6]);
+  EXPECT_EQ(Sum(s.per_subarray_writes), g.totals[7]);
+  EXPECT_EQ(s.host_pairs_zero_copy, 0u);
+  EXPECT_EQ(s.host_pairs_per_pair, 0u);
+}
+
+class ControllerGoldenTest : public ::testing::TestWithParam<GoldenStats> {};
+
+TEST_P(ControllerGoldenTest, EveryEntryPointReproducesTheGoldenStats) {
+  const GoldenStats& golden = GetParam();
+  const graph::DatasetInstance inst = graph::SynthesizePaperGraph(
+      graph::GetPaperRefByName(golden.dataset).id, /*scale=*/0.02,
+      /*seed=*/42);
+  const bit::SlicedMatrix matrix =
+      core::BuildSlicedMatrix(inst.graph, graph::Orientation::kUpper, 64);
+  const std::uint32_t n = matrix.num_vertices();
+  nvsim::ArrayConfig config;
+  config.capacity_bytes = 64ULL << 10;
+  ControllerConfig controller_config;
+  controller_config.policy = golden.policy;
+  // A fresh array + controller per run: cache and bit-counter state
+  // are cumulative across calls.
+  const auto run = [&](const auto& execute) {
+    pim::ComputationalArray array(config);
+    Controller controller(array, controller_config);
+    const ExecStats stats = execute(controller);
+    EXPECT_EQ(array.accumulated_count(), stats.accumulated_bitcount);
+    return stats;
+  };
+  const ExecStats whole =
+      run([&](Controller& c) { return c.Run(matrix); });
+  EXPECT_GT(whole.cache.exchanges, 0u);
+  {
+    SCOPED_TRACE("Run");
+    ExpectGolden(whole, golden);
+  }
+  {
+    SCOPED_TRACE("RunRows(0, n)");
+    ExpectGolden(run([&](Controller& c) { return c.RunRows(matrix, 0, n); }),
+                 golden);
+  }
+  {
+    SCOPED_TRACE("RunPlan, one tile, no hubs");
+    BankExecPlan plan;
+    plan.tiles.push_back(BankExecPlan::Tile{0, n, 0, n});
+    ExpectGolden(run([&](Controller& c) { return c.RunPlan(matrix, plan); }),
+                 golden);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TableIIStandIns, ControllerGoldenTest, ::testing::ValuesIn(kGoldenStats),
+    [](const ::testing::TestParamInfo<GoldenStats>& info) {
+      std::string name = std::string(info.param.dataset) + "_" +
+                         ToString(info.param.policy);
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace tcim::arch
