@@ -10,7 +10,7 @@
 //  * per-tenant priorities — tenant 0 is urgent under --policy
 //    priority, visible in its latency percentiles;
 //  * request coalescing — queued queries for the session collapse into
-//    shared AndPopcountRows passes (the Coal column);
+//    shared count passes (the Coal column);
 //  * admission control — with --max-pending the scheduler sheds load
 //    as failed handles instead of queueing without bound;
 //  * exactness — every answered query is checked against a sequential

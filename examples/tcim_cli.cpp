@@ -22,9 +22,12 @@
 // Prints a human-readable report by default, or a single JSON object
 // with --json (for scripting sweeps).
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "baseline/cpu_tc.h"
@@ -113,6 +116,35 @@ void Usage() {
       "  --no-verify         skip the CPU cross-check\n";
 }
 
+/// Parses the value of an unsigned integer flag strictly: decimal
+/// digits only (no sign, no trailing junk) and within T's range — the
+/// rule graph::ParseVertexIdToken applies to edge-list ids. A bad value
+/// is reported with the flag and the token, never wrapped or truncated.
+template <typename T>
+bool ParseUnsignedFlag(const std::string& flag, std::string_view token,
+                       T& out) {
+  T value = 0;
+  const char* const last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  const char* why = nullptr;
+  if (token.empty() || token.front() == '-' || token.front() == '+') {
+    why = "is not an unsigned decimal integer";
+  } else if (ec == std::errc::result_out_of_range) {
+    why = "is out of range";
+  } else if (ec != std::errc{}) {
+    why = "is not an unsigned decimal integer";
+  } else if (ptr != last) {
+    why = "has trailing junk";
+  }
+  if (why != nullptr) {
+    std::cerr << "invalid value for " << flag << ": '" << token << "' "
+              << why << "\n";
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 bool Parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -137,8 +169,7 @@ bool Parse(int argc, char** argv, Options& opt) {
       opt.scale = std::stod(v);
     } else if (arg == "--slice-bits") {
       const char* v = next();
-      if (!v) return false;
-      opt.slice_bits = static_cast<std::uint32_t>(std::stoul(v));
+      if (!v || !ParseUnsignedFlag(arg, v, opt.slice_bits)) return false;
     } else if (arg == "--policy") {
       const char* v = next();
       if (!v) return false;
@@ -153,16 +184,13 @@ bool Parse(int argc, char** argv, Options& opt) {
       opt.orientation = v;
     } else if (arg == "--seed") {
       const char* v = next();
-      if (!v) return false;
-      opt.seed = std::stoull(v);
+      if (!v || !ParseUnsignedFlag(arg, v, opt.seed)) return false;
     } else if (arg == "--banks") {
       const char* v = next();
-      if (!v) return false;
-      opt.banks = static_cast<std::uint32_t>(std::stoul(v));
+      if (!v || !ParseUnsignedFlag(arg, v, opt.banks)) return false;
     } else if (arg == "--threads") {
       const char* v = next();
-      if (!v) return false;
-      opt.threads = static_cast<std::uint32_t>(std::stoul(v));
+      if (!v || !ParseUnsignedFlag(arg, v, opt.threads)) return false;
     } else if (arg == "--partition") {
       const char* v = next();
       if (!v) return false;
@@ -181,8 +209,7 @@ bool Parse(int argc, char** argv, Options& opt) {
       opt.relabel = v;
     } else if (arg == "--top") {
       const char* v = next();
-      if (!v) return false;
-      opt.top = static_cast<std::uint32_t>(std::stoul(v));
+      if (!v || !ParseUnsignedFlag(arg, v, opt.top)) return false;
     } else if (arg == "--json") {
       opt.json = true;
     } else if (arg == "--metrics-json") {

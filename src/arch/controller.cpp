@@ -33,6 +33,14 @@ ExecStats Controller::Run(const bit::SlicedMatrix& matrix,
   return RunRows(matrix, 0, matrix.num_vertices(), sink);
 }
 
+ExecStats Controller::RunRows(const bit::SlicedMatrix& matrix,
+                              std::uint32_t row_begin, std::uint32_t row_end,
+                              EdgeCountSink* sink) {
+  return RunPlan(
+      matrix, BankExecPlan::RowShard(row_begin, row_end, matrix.num_vertices()),
+      sink);
+}
+
 // One work item = one valid slice pair of one edge.
 struct Controller::WorkItem {
   std::uint32_t slice_index;
@@ -114,60 +122,6 @@ void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
   }
 }
 
-ExecStats Controller::RunRows(const bit::SlicedMatrix& matrix,
-                              std::uint32_t row_begin, std::uint32_t row_end,
-                              EdgeCountSink* sink) {
-  if (matrix.slice_bits() != array_.config().access_width_bits) {
-    throw std::invalid_argument(
-        "Controller: matrix slice width != array access width");
-  }
-  if (row_begin > row_end || row_end > matrix.num_vertices()) {
-    throw std::out_of_range("Controller::RunRows: invalid row range");
-  }
-  const bit::SlicedStore& rows = matrix.rows();
-
-  ExecStats stats;
-  stats.per_subarray_ands.assign(array_.num_subarrays(), 0);
-  stats.per_subarray_writes.assign(array_.num_subarrays(), 0);
-  // Fan columns of one slice index over several sets when the graph
-  // has fewer slice indices than the array has sets (see mapper.h).
-  const std::uint64_t spread =
-      config_.spread_override != 0
-          ? config_.spread_override
-          : mapper_.SpreadFor(rows.slices_per_vector());
-  stats.spread = spread;
-
-  std::vector<WorkItem> work;
-  std::vector<std::uint32_t> row_edges;       // j per edge of this row
-  std::vector<std::uint64_t> row_edge_count;  // per-edge BitCount
-
-  for (std::uint32_t i = row_begin; i < row_end; ++i) {
-    // Gather this row's work, then process it grouped by slice index so
-    // each RiSk is staged exactly once per row (Algorithm 1's
-    // "load Slice1 into memory" amortized by the row-reuse rule).
-    work.clear();
-    row_edges.clear();
-    rows.ForEachSetBit(i, [&](std::uint64_t j64) {
-      const auto j = static_cast<std::uint32_t>(j64);
-      ++stats.edges_processed;
-      const auto edge_ordinal = static_cast<std::uint32_t>(row_edges.size());
-      row_edges.push_back(j);
-      matrix.ForEachValidPair(
-          i, j, [&](std::uint32_t k, std::size_t ra, std::size_t cb) {
-            work.push_back(WorkItem{k, static_cast<std::uint32_t>(ra), j,
-                                    static_cast<std::uint32_t>(cb),
-                                    edge_ordinal});
-          });
-    });
-    ProcessRowWork(matrix, i, spread, work, row_edges, row_edge_count, stats,
-                   sink);
-  }
-
-  stats.cache = cache_.stats();
-  stats.accumulated_bitcount = array_.accumulated_count();
-  return stats;
-}
-
 void Controller::WarmReplicas(const bit::SlicedMatrix& matrix,
                               const std::vector<std::uint32_t>& hub_cols,
                               std::uint64_t spread, ExecStats& stats) {
@@ -225,18 +179,32 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
   }
 
   std::vector<WorkItem> work;
-  std::vector<std::uint32_t> row_edges;
-  std::vector<std::uint64_t> row_edge_count;
-  const auto gather_arc = [&](std::uint32_t i, std::uint32_t j) {
-    ++stats.edges_processed;
-    const auto edge_ordinal = static_cast<std::uint32_t>(row_edges.size());
-    row_edges.push_back(j);
-    matrix.ForEachValidPair(
-        i, j, [&](std::uint32_t k, std::size_t ra, std::size_t cb) {
-          work.push_back(WorkItem{k, static_cast<std::uint32_t>(ra), j,
-                                  static_cast<std::uint32_t>(cb),
-                                  edge_ordinal});
-        });
+  std::vector<std::uint32_t> row_edges;       // j per edge of this row
+  std::vector<std::uint64_t> row_edge_count;  // per-edge BitCount
+  // Gathers pivot row i's arcs with j in [col_begin, col_end) on the
+  // requested side of the hub split, then processes them grouped by
+  // slice index so each RiSk is staged exactly once per row
+  // (Algorithm 1's "load Slice1 into memory" amortized by the row-reuse
+  // rule).
+  const auto run_row = [&](std::uint32_t i, std::uint32_t col_begin,
+                           std::uint32_t col_end, bool hub_lane) {
+    work.clear();
+    row_edges.clear();
+    rows.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
+      const auto j = static_cast<std::uint32_t>(j64);
+      if (plan.is_hub != nullptr && (plan.is_hub[j] != 0) != hub_lane) return;
+      ++stats.edges_processed;
+      const auto edge_ordinal = static_cast<std::uint32_t>(row_edges.size());
+      row_edges.push_back(j);
+      matrix.ForEachValidPair(
+          i, j, [&](std::uint32_t k, std::size_t ra, std::size_t cb) {
+            work.push_back(WorkItem{k, static_cast<std::uint32_t>(ra), j,
+                                    static_cast<std::uint32_t>(cb),
+                                    edge_ordinal});
+          });
+    });
+    ProcessRowWork(matrix, i, spread, work, row_edges, row_edge_count, stats,
+                   sink);
   };
 
   // Hub lane: the bank's lane rows against the (replicated) hub
@@ -244,30 +212,13 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
   // before tail fills start competing for them.
   if (have_hubs) {
     for (std::uint32_t i = plan.hub_row_begin; i < plan.hub_row_end; ++i) {
-      work.clear();
-      row_edges.clear();
-      rows.ForEachSetBit(i, [&](std::uint64_t j64) {
-        const auto j = static_cast<std::uint32_t>(j64);
-        if (plan.is_hub[j] == 0) return;
-        gather_arc(i, j);
-      });
-      ProcessRowWork(matrix, i, spread, work, row_edges, row_edge_count,
-                     stats, sink);
+      run_row(i, 0, n, /*hub_lane=*/true);
     }
   }
-  // Tail tiles: rectangle-restricted arc enumeration, hubs excluded.
+  // Tiles: rectangle-restricted arc enumeration, hubs excluded.
   for (const BankExecPlan::Tile& tile : plan.tiles) {
     for (std::uint32_t i = tile.row_begin; i < tile.row_end; ++i) {
-      work.clear();
-      row_edges.clear();
-      rows.ForEachSetBitInRange(
-          i, tile.col_begin, tile.col_end, [&](std::uint64_t j64) {
-            const auto j = static_cast<std::uint32_t>(j64);
-            if (plan.is_hub != nullptr && plan.is_hub[j] != 0) return;
-            gather_arc(i, j);
-          });
-      ProcessRowWork(matrix, i, spread, work, row_edges, row_edge_count,
-                     stats, sink);
+      run_row(i, tile.col_begin, tile.col_end, /*hub_lane=*/false);
     }
   }
 

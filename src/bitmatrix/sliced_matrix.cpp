@@ -121,17 +121,41 @@ class PairStreamExecutor {
   std::size_t words_ = 0;
 };
 
-// The one Eq. (5) row pass behind AndPopcountRows and AndPopcountRect.
-// For each pivot row i in [row_begin, row_end), walk_arcs(i, visit)
-// calls visit(j) for every arc A[i][j] the pass owns, and each such arc
-// ANDs row i of `rows` against column j of `cols` over their valid
-// slice pairs. The walker is a compile-time parameter, so the arc
-// filter inlines into the enumeration loop.
-template <typename ArcWalker>
-std::uint64_t RowPass(const SlicedStore& rows, const SlicedStore& cols,
-                      std::uint32_t row_begin, std::uint32_t row_end,
-                      PopcountKind kind, PairPathCounters* counters,
-                      ArcWalker&& walk_arcs) {
+}  // namespace
+
+std::uint64_t SlicedMatrix::AndPopcountAllEdges(
+    PopcountKind kind, PairPathCounters* counters) const {
+  return AndPopcountRect(0, num_vertices(), 0, num_vertices(), nullptr, true,
+                         nullptr, kind, counters);
+}
+
+std::uint64_t SlicedMatrix::AndPopcountRect(
+    std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,
+    std::uint32_t col_end, const std::uint8_t* col_mask, bool mask_value,
+    const SlicedStore* cols_override, PopcountKind kind,
+    PairPathCounters* counters) const {
+  if (row_begin > row_end || row_end > num_vertices() ||
+      col_begin > col_end || col_end > num_vertices()) {
+    throw std::out_of_range("SlicedMatrix::AndPopcountRect: invalid range");
+  }
+  const SlicedStore& cols = cols_override != nullptr ? *cols_override : cols_;
+  if (cols_override != nullptr &&
+      (cols.slice_bits() != slice_bits() ||
+       cols.num_vectors() != cols_.num_vectors())) {
+    throw std::invalid_argument(
+        "SlicedMatrix::AndPopcountRect: cols_override shape mismatch");
+  }
+  // The one Eq. (5) row pass: for each pivot row i in
+  // [row_begin, row_end), every arc A[i][j] with j in [col_begin,
+  // col_end) that passes the column mask ANDs row i against column j of
+  // `cols` over their valid slice pairs.
+  const SlicedStore& rows = rows_;
+  const auto walk_arcs = [&](std::uint32_t i, auto&& visit) {
+    rows.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
+      const auto j = static_cast<std::uint32_t>(j64);
+      if (col_mask == nullptr || (col_mask[j] != 0) == mask_value) visit(j);
+    });
+  };
   std::uint64_t total = 0;
   if (kind != PopcountKind::kBuiltin) {
     // Hardware-model strategies (kSwar/kLut8/kLut16) keep the exact
@@ -213,57 +237,6 @@ std::uint64_t RowPass(const SlicedStore& rows, const SlicedStore& cols,
   }
   exec.Flush(total);
   return total;
-}
-
-}  // namespace
-
-std::uint64_t SlicedMatrix::AndPopcountAllEdges(
-    PopcountKind kind, PairPathCounters* counters) const {
-  return AndPopcountRows(0, num_vertices(), kind, counters);
-}
-
-std::uint64_t SlicedMatrix::AndPopcountRows(std::uint32_t row_begin,
-                                            std::uint32_t row_end,
-                                            PopcountKind kind,
-                                            PairPathCounters* counters) const {
-  if (row_begin > row_end || row_end > num_vertices()) {
-    throw std::out_of_range("SlicedMatrix::AndPopcountRows: invalid range");
-  }
-  return RowPass(rows_, cols_, row_begin, row_end, kind, counters,
-                 [&](std::uint32_t i, auto&& visit) {
-                   rows_.ForEachSetBit(i, [&](std::uint64_t j) {
-                     visit(static_cast<std::uint32_t>(j));
-                   });
-                 });
-}
-
-std::uint64_t SlicedMatrix::AndPopcountRect(
-    std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,
-    std::uint32_t col_end, const std::uint8_t* col_mask, bool mask_value,
-    const SlicedStore* cols_override, PopcountKind kind,
-    PairPathCounters* counters) const {
-  if (row_begin > row_end || row_end > num_vertices() ||
-      col_begin > col_end || col_end > num_vertices()) {
-    throw std::out_of_range("SlicedMatrix::AndPopcountRect: invalid range");
-  }
-  const SlicedStore& cols = cols_override != nullptr ? *cols_override : cols_;
-  if (cols_override != nullptr &&
-      (cols.slice_bits() != slice_bits() ||
-       cols.num_vectors() != cols_.num_vectors())) {
-    throw std::invalid_argument(
-        "SlicedMatrix::AndPopcountRect: cols_override shape mismatch");
-  }
-  return RowPass(rows_, cols, row_begin, row_end, kind, counters,
-                 [&](std::uint32_t i, auto&& visit) {
-                   rows_.ForEachSetBitInRange(
-                       i, col_begin, col_end, [&](std::uint64_t j64) {
-                         const auto j = static_cast<std::uint32_t>(j64);
-                         if (col_mask == nullptr ||
-                             (col_mask[j] != 0) == mask_value) {
-                           visit(j);
-                         }
-                       });
-                 });
 }
 
 SliceStats SlicedMatrix::ComputeStats() const {

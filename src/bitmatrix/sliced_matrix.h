@@ -164,38 +164,23 @@ class SlicedMatrix {
   /// Software evaluation of Eq. (5) over the compressed stores: for
   /// every non-zero A[i][j], Σ BitCount(AND(RiSk, CjSk)) over valid
   /// pairs. With an upper-triangular (oriented) adjacency this *is*
-  /// the triangle count; the caller owns that interpretation. At the
-  /// default kind (kBuiltin) the valid slice pairs are gathered per
-  /// pivot row as zero-copy descriptors and evaluated in flush batches
-  /// — except in the one regime ChooseDirectPairLoop picks from the
-  /// stores (wide, cache-spilling, no reuse), where each pair is
-  /// dispatched during enumeration; the hardware-model kinds run the
-  /// exact per-word per-pair loop instead. When `counters` is non-null
+  /// the triangle count; the caller owns that interpretation. It is
+  /// AndPopcountRect over the whole matrix. When `counters` is non-null
   /// the per-path pair/flush accounting of this pass is accumulated
   /// into it.
   [[nodiscard]] std::uint64_t AndPopcountAllEdges(
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
 
-  /// Eq. (5) over rows [row_begin, row_end) only — the shard unit of
-  /// the multi-bank runtime's host-kernel path (runtime::BankPool::
-  /// HostCount). Column lookups see the whole matrix, so disjoint row
-  /// ranges partition AndPopcountAllEdges() exactly: summing shards
-  /// reproduces the full pass. Throws std::out_of_range on an invalid
-  /// range. Same routing rules as AndPopcountAllEdges.
-  [[nodiscard]] std::uint64_t AndPopcountRows(
-      std::uint32_t row_begin, std::uint32_t row_end,
-      PopcountKind kind = PopcountKind::kBuiltin,
-      PairPathCounters* counters = nullptr) const;
-
   /// Eq. (5) over the sub-rectangle rows [row_begin, row_end) x
-  /// columns [col_begin, col_end) — the tile unit of the 2D
-  /// hub-replicated runtime. Only arcs A[i][j] with i and j inside the
-  /// rectangle are enumerated, but each enumerated arc still ANDs the
-  /// FULL row i against the FULL column j: tiling selects which arcs a
-  /// bank pivots on, never which slices get paired, so any family of
-  /// disjoint rectangles covering all non-zeros partitions
-  /// AndPopcountAllEdges() exactly.
+  /// columns [col_begin, col_end) — the tile unit of the multi-bank
+  /// runtime (a 1D row shard is the full-width tile [b, e) x [0, n)).
+  /// Only arcs A[i][j] with i and j inside the rectangle are
+  /// enumerated, but each enumerated arc still ANDs the FULL row i
+  /// against the FULL column j: tiling selects which arcs a bank pivots
+  /// on, never which slices get paired, so any family of disjoint
+  /// rectangles covering all non-zeros partitions AndPopcountAllEdges()
+  /// exactly.
   ///
   /// `col_mask` (when non-null, num_vertices() entries) filters arcs:
   /// A[i][j] is enumerated only when (col_mask[j] != 0) == mask_value —
@@ -205,9 +190,15 @@ class SlicedMatrix {
   /// `cols_override` (when non-null) replaces the column store for the
   /// ANDs — the per-bank hub-replica store. It must match slice_bits
   /// and num_vectors (throws std::invalid_argument) and must hold
-  /// bit-identical data for every enumerated column. Same routing
-  /// rules as AndPopcountAllEdges, decided from the row store and the
-  /// column store the pass actually reads.
+  /// bit-identical data for every enumerated column.
+  ///
+  /// Routing: at the default kind (kBuiltin) the valid slice pairs are
+  /// gathered per pivot row as zero-copy descriptors and evaluated in
+  /// flush batches — except in the one regime ChooseDirectPairLoop
+  /// picks from the row store and the column store the pass reads
+  /// (wide, cache-spilling, no reuse), where each pair is dispatched
+  /// during enumeration; the hardware-model kinds run the exact
+  /// per-word per-pair loop instead.
   /// Throws std::out_of_range on an invalid rectangle.
   [[nodiscard]] std::uint64_t AndPopcountRect(
       std::uint32_t row_begin, std::uint32_t row_end, std::uint32_t col_begin,

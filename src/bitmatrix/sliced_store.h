@@ -231,11 +231,16 @@ class SlicedStore {
   /// the 2D tile executor (a tile enumerates only arcs whose target
   /// falls inside its column stripe). Seeks the first candidate slice
   /// by binary search, so a narrow range costs O(log slices + slices
-  /// overlapping the range) instead of a full-vector walk.
+  /// overlapping the range) instead of a full-vector walk; a range
+  /// covering the whole universe is a plain ForEachSetBit.
   template <typename Fn>
   void ForEachSetBitInRange(std::uint32_t v, std::uint64_t lo,
                             std::uint64_t hi, Fn&& fn) const {
     if (lo >= hi) return;
+    if (lo == 0 && hi >= universe_) {
+      ForEachSetBit(v, fn);
+      return;
+    }
     const VectorSlices vs = Slices(v);
     const auto first_slice = static_cast<std::uint32_t>(lo / slice_bits_);
     std::size_t k = static_cast<std::size_t>(

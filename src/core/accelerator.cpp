@@ -43,32 +43,10 @@ TcimResult TcimAccelerator::Run(const graph::Graph& g) const {
 TcimResult TcimAccelerator::RunOnMatrix(const bit::SlicedMatrix& matrix,
                                         graph::Orientation orientation) const {
   util::Timer timer;
-  TcimResult result =
-      RunOnMatrixRows(matrix, orientation, 0, matrix.num_vertices());
+  const std::uint32_t n = matrix.num_vertices();
+  TcimResult result = RunOnMatrixPlan(
+      matrix, orientation, arch::BankExecPlan::RowShard(0, n, n));
   result.slices = matrix.ComputeStats();
-  result.host_seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-TcimResult TcimAccelerator::RunOnMatrixRows(const bit::SlicedMatrix& matrix,
-                                            graph::Orientation orientation,
-                                            std::uint32_t row_begin,
-                                            std::uint32_t row_end) const {
-  util::Timer timer;
-  if (matrix.slice_bits() != config_.slice_bits) {
-    throw std::invalid_argument(
-        "TcimAccelerator: matrix slice width != configured slice_bits");
-  }
-
-  pim::ComputationalArray array(config_.array, config_.bit_counter);
-  arch::Controller controller(array, config_.controller);
-
-  TcimResult result;
-  result.exec = controller.RunRows(matrix, row_begin, row_end);
-  result.triangles = result.exec.accumulated_bitcount /
-                     graph::CountMultiplier(orientation);
-  result.perf = EvaluatePerf(result.exec, array_model_->perf(),
-                             config_.bit_counter, config_.perf);
   result.host_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -75,26 +75,17 @@ class TcimAccelerator {
   [[nodiscard]] TcimResult RunOnMatrix(const bit::SlicedMatrix& matrix,
                                        graph::Orientation orientation) const;
 
-  /// Pipeline over rows [row_begin, row_end) of a pre-built matrix —
-  /// one bank's shard in the multi-bank runtime (runtime::BankPool).
-  /// Disjoint row ranges partition the accumulated bitcount exactly,
-  /// so summing shards reproduces the full-run count. Caveats of the
+  /// Pipeline over one bank's execution plan (hub lane + tiles) of a
+  /// pre-built matrix — the shard unit of the multi-bank runtime
+  /// (runtime::BankPool); a 1D row shard is the one-tile, no-hub plan.
+  /// Disjoint plans partition the accumulated bitcount exactly, so
+  /// summing shards reproduces the full-run count. Caveats of the
   /// partial view: `triangles` divides the shard's raw bitcount by the
   /// orientation multiplier (for kFullSymmetric a shard's bitcount
   /// need not be divisible by 6 — aggregate raw bitcounts across
   /// shards first, as runtime::AggregateClusterResult does), and
   /// `slices` is left empty (the matrix is shared; the caller computes
   /// its stats once, not per shard).
-  [[nodiscard]] TcimResult RunOnMatrixRows(const bit::SlicedMatrix& matrix,
-                                           graph::Orientation orientation,
-                                           std::uint32_t row_begin,
-                                           std::uint32_t row_end) const;
-
-  /// Pipeline over one bank's 2D execution plan (hub lane + tail
-  /// tiles) — the shard unit of the k2dHubReplicated runtime. Same
-  /// partial-view caveats as RunOnMatrixRows: aggregate raw bitcounts
-  /// across banks before the orientation divide, and `slices` is left
-  /// empty.
   [[nodiscard]] TcimResult RunOnMatrixPlan(const bit::SlicedMatrix& matrix,
                                            graph::Orientation orientation,
                                            const arch::BankExecPlan& plan)

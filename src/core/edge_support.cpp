@@ -96,8 +96,9 @@ EdgeSupports ComputeEdgeSupportsTcim(const Graph& g,
     void OnEdge(std::uint32_t i, std::uint32_t j,
                 std::uint64_t bitcount) override {
       // Each undirected edge arrives twice (both arc directions) with
-      // the same support; keep the max (they must agree — tests pin
-      // the symmetric-visit equality separately).
+      // the same support — |N(i) ∩ N(j)| is symmetric — so the second
+      // visit rewrites an equal value (truss_test compares the result
+      // against the CPU supports).
       const std::uint64_t e = index.IdOf(i, j);
       supports[e] = static_cast<std::uint32_t>(bitcount);
     }

@@ -38,8 +38,7 @@ struct EdgeAdjacency {
     // The cursor trick above assumes each adjacency list is consumed
     // in order, which holds only if for every edge (u,v), all of v's
     // neighbors smaller than u have already been processed — true
-    // because we sweep u ascending and lists are sorted. Validate in
-    // debug builds via the arc endpoints.
+    // because we sweep u ascending and lists are sorted.
   }
 
   std::vector<std::uint64_t> offsets;

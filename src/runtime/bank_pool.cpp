@@ -82,8 +82,8 @@ void WorkerPool::WorkerLoop() {
 
 namespace {
 
-/// Translates bank `bank`'s share of the tile plan into the arch
-/// layer's execution plan (hub lane bounds + its tiles' rectangles).
+/// Translates bank `bank`'s share of the plan into the arch layer's
+/// execution plan (hub lane bounds + its tiles' rectangles).
 arch::BankExecPlan MakeBankExecPlan(const TilePlan2d& plan,
                                     std::uint32_t bank) {
   arch::BankExecPlan exec;
@@ -277,19 +277,11 @@ ClusterResult BankPool::Count(const graph::Graph& g) const {
   PreparedRun run = Prepare(g);
 
   std::vector<core::TcimResult> per_bank(num_banks());
-  if (run.partition.plan2d != nullptr) {
-    const TilePlan2d& plan = *run.partition.plan2d;
-    RunShards(run.partition, [&](std::uint32_t b, const ShardInfo&) {
-      per_bank[b] =
-          banks_[b]->RunOnMatrixPlan(run.matrix, orientation,
-                                     MakeBankExecPlan(plan, b));
-    });
-  } else {
-    RunShards(run.partition, [&](std::uint32_t b, const ShardInfo& shard) {
-      per_bank[b] = banks_[b]->RunOnMatrixRows(
-          run.matrix, orientation, shard.row_begin, shard.row_end);
-    });
-  }
+  const TilePlan2d& plan = *run.partition.plan2d;
+  RunShards(run.partition, [&](std::uint32_t b, const ShardInfo&) {
+    per_bank[b] = banks_[b]->RunOnMatrixPlan(run.matrix, orientation,
+                                             MakeBankExecPlan(plan, b));
+  });
 
   ClusterResult cluster =
       AggregateClusterResult(std::move(run.partition), orientation,
@@ -300,68 +292,42 @@ ClusterResult BankPool::Count(const graph::Graph& g) const {
 }
 
 std::uint64_t BankPool::HostCount(const graph::Graph& g) const {
-  const PreparedRun run = Prepare(g);
-
-  if (run.partition.plan2d != nullptr) {
-    ServingPlan2d plan;
-    plan.replicas = MakeReplicas(run.matrix.cols(),
-                                 run.partition.plan2d->hubs, num_banks());
-    plan.partition = run.partition;
-    return HostCount2d(run.matrix, plan, config_.accelerator.orientation);
-  }
-
-  // Each shard runs the adaptive host kernel over its owned row range;
-  // disjoint ranges partition the raw Eq. (5) sum exactly, and the
-  // orientation divide happens once on the cluster total (a single
-  // kFullSymmetric shard's bitcount need not be divisible by 6).
-  std::vector<std::uint64_t> per_bank(num_banks(), 0);
-  std::vector<bit::PairPathCounters> paths(num_banks());
-  RunShards(run.partition, [&](std::uint32_t b, const ShardInfo& shard) {
-    per_bank[b] = run.matrix.AndPopcountRows(
-        shard.row_begin, shard.row_end, bit::PopcountKind::kBuiltin,
-        &paths[b]);
-  });
-  RecordPairPathMetrics(paths);
-  std::uint64_t raw = 0;
-  for (const std::uint64_t shard_count : per_bank) raw += shard_count;
-  return raw / graph::CountMultiplier(config_.accelerator.orientation);
+  PreparedRun run = Prepare(g);
+  ServingPlan2d plan;
+  plan.replicas =
+      MakeReplicas(run.matrix.cols(), run.partition.plan2d->hubs, num_banks());
+  plan.partition = std::move(run.partition);
+  return HostCountPlan(run.matrix, plan, config_.accelerator.orientation);
 }
 
 std::uint64_t BankPool::HostCountMatrix(const bit::SlicedMatrix& matrix,
                                         graph::Orientation orientation) const {
-  if (config_.partition == PartitionStrategy::k2dHubReplicated) {
-    const ServingPlan2d plan = BuildServingPlan2d(matrix);
-    return HostCount2d(matrix, plan, orientation);
-  }
-  const GraphPartition partition =
-      PartitionMatrixRows(matrix, num_banks(), config_.partition);
-  std::vector<std::uint64_t> per_bank(num_banks(), 0);
-  std::vector<bit::PairPathCounters> paths(num_banks());
-  RunShards(partition, [&](std::uint32_t b, const ShardInfo& shard) {
-    per_bank[b] = matrix.AndPopcountRows(shard.row_begin, shard.row_end,
-                                         bit::PopcountKind::kBuiltin,
-                                         &paths[b]);
-  });
-  RecordPairPathMetrics(paths);
-  std::uint64_t raw = 0;
-  for (const std::uint64_t shard_count : per_bank) raw += shard_count;
-  return raw / graph::CountMultiplier(orientation);
+  return HostCountPlan(matrix, BuildServingPlan(matrix), orientation);
 }
 
-ServingPlan2d BankPool::BuildServingPlan2d(
+ServingPlan2d BankPool::BuildServingPlan(
     const bit::SlicedMatrix& matrix) const {
-  obs::TraceSpan span("partition.plan2d", "bank", "");
   ServingPlan2d plan;
-  plan.partition = Partition2dMatrix(matrix, num_banks(), Options2d());
+  if (config_.partition == PartitionStrategy::k2dHubReplicated) {
+    obs::TraceSpan span("partition.plan2d", "bank", "");
+    plan.partition = Partition2dMatrix(matrix, num_banks(), Options2d());
+    Record2dMetrics(plan.partition.stats);
+  } else {
+    plan.partition =
+        PartitionMatrixRows(matrix, num_banks(), config_.partition);
+  }
   plan.replicas = MakeReplicas(matrix.cols(), plan.partition.plan2d->hubs,
                                num_banks());
-  Record2dMetrics(plan.partition.stats);
   return plan;
 }
 
-std::uint64_t BankPool::HostCount2d(const bit::SlicedMatrix& matrix,
-                                    const ServingPlan2d& plan,
-                                    graph::Orientation orientation) const {
+std::uint64_t BankPool::HostCountPlan(const bit::SlicedMatrix& matrix,
+                                      const ServingPlan2d& plan,
+                                      graph::Orientation orientation) const {
+  // Each bank runs its tiles (and hub lane) on the adaptive host
+  // kernel; disjoint regions partition the raw Eq. (5) sum exactly,
+  // and the orientation divide happens once on the cluster total (a
+  // single kFullSymmetric shard's bitcount need not be divisible by 6).
   const TilePlan2d& plan2d = *plan.partition.plan2d;
   std::vector<std::uint64_t> per_bank(num_banks(), 0);
   std::vector<bit::PairPathCounters> paths(num_banks());
@@ -379,22 +345,19 @@ std::uint64_t BankPool::HostCount2d(const bit::SlicedMatrix& matrix,
 
 std::uint64_t BankPool::HostCountEpoch(const EpochSnapshot& epoch) const {
   const bit::SlicedMatrix& matrix = *epoch.matrix;
-  if (config_.partition != PartitionStrategy::k2dHubReplicated) {
-    return HostCountMatrix(matrix, epoch.orientation);
-  }
   PlanCache2d::PlanPtr plan;
   if (epoch.plan2d != nullptr) {
-    plan = epoch.plan2d->GetOrBuild(
-        num_banks(), [&] { return BuildServingPlan2d(matrix); });
+    plan = epoch.plan2d->GetOrBuild(config_.partition, num_banks(),
+                                    [&] { return BuildServingPlan(matrix); });
   }
   // Defensive rebuild: a plan carried forward across publishes is only
   // valid while the vertex range it was sized for still matches (the
   // session invalidates on growth; never trust it blindly).
-  if (plan == nullptr || plan->partition.plan2d == nullptr ||
+  if (plan == nullptr ||
       plan->partition.plan2d->num_vertices != matrix.num_vertices()) {
-    plan = std::make_shared<const ServingPlan2d>(BuildServingPlan2d(matrix));
+    plan = std::make_shared<const ServingPlan2d>(BuildServingPlan(matrix));
   }
-  return HostCount2d(matrix, *plan, epoch.orientation);
+  return HostCountPlan(matrix, *plan, epoch.orientation);
 }
 
 }  // namespace tcim::runtime

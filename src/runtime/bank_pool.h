@@ -4,8 +4,9 @@
 //
 // One Count(g) call runs the offline stages once — orientation,
 // slicing/compression, partitioning — then fans the shards out: bank b
-// executes Algorithm 1 over its owned row range of the *shared*
-// compressed matrix (core::TcimAccelerator::RunOnMatrixRows), and the
+// executes Algorithm 1 over its share of the partition's tile plan on
+// the *shared* compressed matrix (core::TcimAccelerator::
+// RunOnMatrixPlan; a 1D row shard is one full-width tile), and the
 // per-shard results fold into a runtime::ClusterResult. The total is
 // count-exact by construction (see runtime/partitioner.h); the
 // registered exactness tests assert it against the single-accelerator
@@ -101,9 +102,9 @@ class BankPool {
   [[nodiscard]] ClusterResult Count(const graph::Graph& g) const;
 
   /// Host-kernel twin of Count(): same orient → slice → partition
-  /// pipeline and the same per-bank row shards, but each shard runs
-  /// the *host* Eq. (5) pass (SlicedMatrix::AndPopcountRows on
-  /// the active SIMD kernel backend) instead of the functional in-MRAM
+  /// pipeline and the same per-bank plans, but each shard runs the
+  /// *host* Eq. (5) pass (CountBankShard2d on the active SIMD kernel
+  /// backend) instead of the functional in-MRAM
   /// simulation — the fast path when only the count is needed, not the
   /// architectural statistics. Raw shard bitcounts are summed before
   /// the orientation divide, so the result is exact for every
@@ -112,7 +113,8 @@ class BankPool {
 
   /// The epoch-serving read path: counts an ALREADY-SLICED matrix (a
   /// pinned COW epoch snapshot) on the bank shards — no orient, no
-  /// re-slice, just PartitionMatrixRows + per-shard AndPopcountRows.
+  /// re-slice, just a fresh plan (BuildServingPlan) + per-shard
+  /// CountBankShard2d.
   /// `orientation` must be the orientation the matrix was built under
   /// (EpochSnapshot carries it); it only supplies the final count
   /// multiplier. Exact: equals HostCount of the materialized graph.
@@ -122,11 +124,10 @@ class BankPool {
       const bit::SlicedMatrix& matrix, graph::Orientation orientation) const;
 
   /// HostCountMatrix against a pinned epoch snapshot, with serving-plan
-  /// reuse: under k2dHubReplicated the tile plan + per-bank hub
-  /// replicas are fetched from (or built into) the epoch's PlanCache2d
-  /// instead of re-planned per query, so steady-state queries pay only
-  /// the per-shard rectangle counts. Under 1D strategies it is exactly
-  /// HostCountMatrix. The scheduler's query path calls this.
+  /// reuse: the plan (+ per-bank hub replicas under k2dHubReplicated)
+  /// is fetched from (or built into) the epoch's PlanCache2d instead of
+  /// re-planned per query, so steady-state queries pay only the
+  /// per-shard rectangle counts. The scheduler's query path calls this.
   [[nodiscard]] std::uint64_t HostCountEpoch(const EpochSnapshot& epoch) const;
 
   [[nodiscard]] std::uint32_t num_banks() const noexcept {
@@ -151,15 +152,17 @@ class BankPool {
   /// The 2D planner options with slice_bits synced from the
   /// accelerator config (the one field the two configs share).
   [[nodiscard]] Partition2dOptions Options2d() const noexcept;
-  /// Plans the 2D partition of `matrix` and extracts the per-bank hub
-  /// replica stores (COW; shared slabs across banks).
-  [[nodiscard]] ServingPlan2d BuildServingPlan2d(
+  /// Plans the partition of `matrix` under the configured strategy and
+  /// extracts the per-bank hub replica stores (COW; shared slabs across
+  /// banks; none when the plan has no hubs).
+  [[nodiscard]] ServingPlan2d BuildServingPlan(
       const bit::SlicedMatrix& matrix) const;
-  /// Host-kernel 2D fan-out: one CountBankShard2d per bank against its
+  /// Host-kernel fan-out: one CountBankShard2d per bank against its
   /// replica, raw sum divided once by the orientation multiplier.
-  [[nodiscard]] std::uint64_t HostCount2d(const bit::SlicedMatrix& matrix,
-                                          const ServingPlan2d& plan,
-                                          graph::Orientation orientation) const;
+  [[nodiscard]] std::uint64_t HostCountPlan(const bit::SlicedMatrix& matrix,
+                                            const ServingPlan2d& plan,
+                                            graph::Orientation orientation)
+      const;
 
   /// Fans one task per shard out to the worker pool and waits for all
   /// of them; the first shard exception (if any) is rethrown. Shared

@@ -40,15 +40,16 @@
 
 namespace tcim::runtime {
 
-/// A materialized 2D serving plan for one epoch: the tile/hub
-/// partition plus the per-bank hub-column replica stores (COW extracts
+/// A materialized serving plan for one epoch: the tile/hub partition
+/// (any strategy; a 1D plan has no hubs) plus the per-bank hub-column
+/// replica stores (COW extracts
 /// of the epoch matrix's column store — shared slabs, so N replicas of
 /// k hub columns cost ~one copy of those columns, not N).
 struct ServingPlan2d {
   GraphPartition partition;
-  /// One replica store per bank; same shape as the epoch matrix's
-  /// column store with non-hub vectors empty (see
-  /// bit::SlicedStore::ExtractVectors).
+  /// One replica store per bank, or none when the plan has no hubs;
+  /// same shape as the epoch matrix's column store with non-hub
+  /// vectors empty (see bit::SlicedStore::ExtractVectors).
   std::vector<bit::SlicedStore> replicas;
 };
 
@@ -58,7 +59,7 @@ struct ServingPlan2d {
 /// epoch's lifetime, and StreamSession *carries the same cache object
 /// forward* across publishes whose batches provably cannot change the
 /// plan (no hub-touching ops, no vertex growth) — that carry-forward
-/// is what keeps the 2D read path from re-planning per batch. When a
+/// is what keeps the read path from re-planning per batch. When a
 /// batch may invalidate the plan the session attaches a fresh, empty
 /// cache instead (it never mutates a published one, so pinned readers
 /// of old epochs keep their plan).
@@ -77,16 +78,18 @@ class PlanCache2d {
     util::MutexLock lock(&mu_);
     return plan_ != nullptr;
   }
-  /// Returns the cached plan if it matches `num_banks`, else builds
-  /// one via `build` and caches it. The bank check makes a stale
-  /// carry-forward (different pool) a rebuild, never a wrong answer.
+  /// Returns the cached plan if it matches `strategy` and `num_banks`,
+  /// else builds one via `build` and caches it. The checks make a
+  /// carry-forward built by a different pool a rebuild, not a plan of
+  /// the wrong shape.
   /// `build` runs under mu_ (one builder at a time, by design: a plan
   /// is expensive and concurrent queries should share one build).
   [[nodiscard]] PlanPtr GetOrBuild(
-      std::uint32_t num_banks,
+      PartitionStrategy strategy, std::uint32_t num_banks,
       const std::function<ServingPlan2d()>& build) {
     util::MutexLock lock(&mu_);
-    if (plan_ == nullptr || plan_->partition.shards.size() != num_banks) {
+    if (plan_ == nullptr || plan_->partition.stats.strategy != strategy ||
+        plan_->partition.shards.size() != num_banks) {
       plan_ = std::make_shared<const ServingPlan2d>(build());
     }
     return plan_;
@@ -111,7 +114,7 @@ struct EpochSnapshot {
   std::uint64_t triangles = 0;
   /// COW copy of the sliced matrix as of this epoch; immutable.
   std::shared_ptr<const bit::SlicedMatrix> matrix;
-  /// Shared 2D serving-plan cache (lazily built by the first 2D query
+  /// Shared serving-plan cache (lazily built by the first query
   /// against this epoch; carried forward across publishes whose
   /// batches cannot invalidate it — see PlanCache2d). Always non-null.
   std::shared_ptr<PlanCache2d> plan2d = std::make_shared<PlanCache2d>();

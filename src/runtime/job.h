@@ -93,7 +93,7 @@ struct QueryResult {
   graph::VertexId num_vertices = 0;
   std::uint64_t num_edges = 0;
   /// True when this query's answer came from another query's shared
-  /// AndPopcountRows pass (request coalescing; see docs/SERVING.md).
+  /// count pass (request coalescing; see docs/SERVING.md).
   bool coalesced = false;
   /// Queries answered by the one pass this job belonged to (>= 1; the
   /// leader and every coalesced follower report the same value).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 #include "util/table.h"
@@ -35,40 +36,12 @@ PartitionStrategy ParsePartitionStrategy(const std::string& name) {
 
 namespace {
 
-/// Range boundaries: boundaries[b]..boundaries[b+1] is bank b's rows.
-std::vector<graph::VertexId> Boundaries(const graph::OrientedCsr& csr,
-                                        std::uint32_t num_banks,
-                                        PartitionStrategy strategy) {
-  const std::uint64_t n = csr.num_vertices;
-  std::vector<graph::VertexId> bounds(num_banks + 1);
-  bounds[0] = 0;
-  bounds[num_banks] = static_cast<graph::VertexId>(n);
-  for (std::uint32_t b = 1; b < num_banks; ++b) {
-    if (strategy == PartitionStrategy::kContiguous) {
-      bounds[b] = static_cast<graph::VertexId>(n * b / num_banks);
-    } else {
-      // Degree-balanced: cut where the arc prefix sum crosses the
-      // b-th equal share of the total arc count.
-      const std::uint64_t target = csr.arc_count() * b / num_banks;
-      const auto it = std::lower_bound(csr.offsets.begin(),
-                                       csr.offsets.end(), target);
-      bounds[b] = static_cast<graph::VertexId>(
-          std::distance(csr.offsets.begin(), it));
-    }
-  }
-  // Monotonicity guard: degree-balanced cuts can collide when a single
-  // row holds more than one share of the arcs.
-  for (std::uint32_t b = 1; b <= num_banks; ++b) {
-    bounds[b] = std::max(bounds[b], bounds[b - 1]);
-  }
-  return bounds;
-}
-
 /// Cuts [0, n) into `parts` parts balanced on the weight prefix sums
-/// (prefix has n+1 entries, prefix[0] == 0), with the same
-/// lower_bound + monotonic-fix shape as the 1D Boundaries().
+/// (prefix has n+1 entries, prefix[0] == 0): part p ends where the
+/// prefix first reaches p/parts of the total. Cuts collide (empty
+/// parts) when one entry holds more than a share.
 std::vector<graph::VertexId> BalancedBounds(
-    const std::vector<std::uint64_t>& prefix, std::uint32_t parts) {
+    std::span<const std::uint64_t> prefix, std::uint32_t parts) {
   const auto n = static_cast<std::uint32_t>(prefix.size() - 1);
   std::vector<graph::VertexId> bounds(parts + 1);
   bounds[0] = 0;
@@ -90,6 +63,64 @@ std::vector<std::uint64_t> PrefixOf(const std::vector<std::uint64_t>& w) {
   std::vector<std::uint64_t> prefix(w.size() + 1, 0);
   for (std::size_t v = 0; v < w.size(); ++v) prefix[v + 1] = prefix[v] + w[v];
   return prefix;
+}
+
+/// The 1D strategies over the per-row arc prefix sums (n+1 entries):
+/// kContiguous cuts equal row counts, kDegreeBalanced equal arc
+/// counts. Fills the shards' row ranges and owned arcs, the arc totals
+/// and the plan — the banks x 1 grid: row stripe b is bank b's range,
+/// the one column stripe is [0, n), there are no hubs, and each bank
+/// runs its stripe as one full-width tile (tiles carry arcs, not
+/// AND-work weights). The communication stats are left to the caller.
+GraphPartition Partition1d(std::span<const std::uint64_t> arc_prefix,
+                           std::uint32_t num_banks,
+                           PartitionStrategy strategy) {
+  const auto n = static_cast<graph::VertexId>(arc_prefix.size() - 1);
+  std::vector<std::uint64_t> row_prefix;
+  if (strategy == PartitionStrategy::kContiguous) {
+    row_prefix.resize(arc_prefix.size());
+    std::iota(row_prefix.begin(), row_prefix.end(), std::uint64_t{0});
+  }
+  const std::vector<graph::VertexId> bounds = BalancedBounds(
+      row_prefix.empty() ? arc_prefix
+                         : std::span<const std::uint64_t>(row_prefix),
+      num_banks);
+
+  auto plan = std::make_shared<TilePlan2d>();
+  plan->num_banks = num_banks;
+  plan->num_vertices = n;
+  plan->row_stripes = num_banks;
+  plan->col_stripes = 1;
+  plan->row_bounds = bounds;
+  plan->col_bounds = {0, n};
+  plan->hub_row_bounds = bounds;
+  plan->bank_tiles.resize(num_banks);
+
+  GraphPartition partition;
+  partition.shards.resize(num_banks);
+  partition.stats.strategy = strategy;
+  partition.stats.num_banks = num_banks;
+  partition.stats.total_arcs = arc_prefix[n];
+  for (std::uint32_t b = 0; b < num_banks; ++b) {
+    ShardInfo& shard = partition.shards[b];
+    shard.bank = b;
+    shard.row_begin = bounds[b];
+    shard.row_end = bounds[b + 1];
+    shard.owned_arcs = arc_prefix[shard.row_end] - arc_prefix[shard.row_begin];
+    partition.stats.max_arcs =
+        std::max(partition.stats.max_arcs, shard.owned_arcs);
+    TileInfo tile;
+    tile.row_stripe = b;
+    tile.row_begin = shard.row_begin;
+    tile.row_end = shard.row_end;
+    tile.col_end = n;
+    tile.arcs = shard.owned_arcs;
+    tile.bank = b;
+    plan->tiles.push_back(tile);
+    plan->bank_tiles[b].push_back(b);
+  }
+  partition.plan2d = std::move(plan);
+  return partition;
 }
 
 /// The k2dHubReplicated planner core, shared by the CSR and matrix
@@ -508,25 +539,14 @@ GraphPartition PartitionOrientedCsr(const graph::OrientedCsr& csr,
   if (strategy == PartitionStrategy::k2dHubReplicated) {
     return Partition2dCsr(csr, num_banks, Partition2dOptions{});
   }
-  const std::vector<graph::VertexId> bounds =
-      Boundaries(csr, num_banks, strategy);
-
-  GraphPartition partition;
-  partition.shards.resize(num_banks);
-  partition.stats.strategy = strategy;
-  partition.stats.num_banks = num_banks;
-  partition.stats.total_arcs = csr.arc_count();
+  // csr.offsets is the out-degree prefix sum.
+  GraphPartition partition = Partition1d(csr.offsets, num_banks, strategy);
 
   // seen_by[j] remembers the last marker that touched column j: bank id
   // + 1 for per-shard dedup, then one global pass for distinct_cols.
   std::vector<std::uint32_t> seen_by(csr.num_vertices, 0);
-  for (std::uint32_t b = 0; b < num_banks; ++b) {
-    ShardInfo& shard = partition.shards[b];
-    shard.bank = b;
-    shard.row_begin = bounds[b];
-    shard.row_end = bounds[b + 1];
-    shard.owned_arcs =
-        csr.offsets[shard.row_end] - csr.offsets[shard.row_begin];
+  for (ShardInfo& shard : partition.shards) {
+    const std::uint32_t b = shard.bank;
     for (std::uint64_t a = csr.offsets[shard.row_begin];
          a < csr.offsets[shard.row_end]; ++a) {
       const graph::VertexId j = csr.neighbors[a];
@@ -540,8 +560,6 @@ GraphPartition PartitionOrientedCsr(const graph::OrientedCsr& csr,
     }
     partition.stats.total_cut_arcs += shard.cut_arcs;
     partition.stats.total_needed_cols += shard.needed_cols;
-    partition.stats.max_arcs =
-        std::max(partition.stats.max_arcs, shard.owned_arcs);
   }
   // Distinct columns needed by any bank: a column was needed iff some
   // arc targets it, and each bank marked it above.
@@ -563,8 +581,8 @@ GraphPartition PartitionMatrixRows(const bit::SlicedMatrix& matrix,
   const std::uint32_t n = matrix.num_vertices();
   const bit::SlicedStore& rows = matrix.rows();
 
-  // Per-row arc (set-bit) prefix sums give the same degree-balanced
-  // boundaries PartitionOrientedCsr derives from CSR offsets.
+  // Per-row arc (set-bit) prefix sums: the same degree prefix
+  // PartitionOrientedCsr reads from the CSR offsets.
   std::vector<std::uint64_t> prefix(static_cast<std::size_t>(n) + 1, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
     const bit::SlicedStore::VectorSlices vs = rows.Slices(v);
@@ -574,41 +592,7 @@ GraphPartition PartitionMatrixRows(const bit::SlicedMatrix& matrix,
                                           rows.words_per_slice()},
                            bit::PopcountKind::kBuiltin);
   }
-  const std::uint64_t total_arcs = prefix[n];
-
-  std::vector<graph::VertexId> bounds(num_banks + 1);
-  bounds[0] = 0;
-  bounds[num_banks] = n;
-  for (std::uint32_t b = 1; b < num_banks; ++b) {
-    if (strategy == PartitionStrategy::kContiguous) {
-      bounds[b] = static_cast<graph::VertexId>(
-          static_cast<std::uint64_t>(n) * b / num_banks);
-    } else {
-      const std::uint64_t target = total_arcs * b / num_banks;
-      const auto it = std::lower_bound(prefix.begin(), prefix.end(), target);
-      bounds[b] =
-          static_cast<graph::VertexId>(std::distance(prefix.begin(), it));
-    }
-  }
-  for (std::uint32_t b = 1; b <= num_banks; ++b) {
-    bounds[b] = std::max(bounds[b], bounds[b - 1]);
-  }
-
-  GraphPartition partition;
-  partition.shards.resize(num_banks);
-  partition.stats.strategy = strategy;
-  partition.stats.num_banks = num_banks;
-  partition.stats.total_arcs = total_arcs;
-  for (std::uint32_t b = 0; b < num_banks; ++b) {
-    ShardInfo& shard = partition.shards[b];
-    shard.bank = b;
-    shard.row_begin = bounds[b];
-    shard.row_end = bounds[b + 1];
-    shard.owned_arcs = prefix[shard.row_end] - prefix[shard.row_begin];
-    partition.stats.max_arcs =
-        std::max(partition.stats.max_arcs, shard.owned_arcs);
-  }
-  return partition;
+  return Partition1d(prefix, num_banks, strategy);
 }
 
 void PrintPartitionTable(std::ostream& os, const GraphPartition& partition) {

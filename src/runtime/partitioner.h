@@ -8,10 +8,13 @@
 // single-accelerator total for every graph and every orientation, and
 // the orientation divide happens once on the cluster total.
 //
+// Every strategy emits a TilePlan2d, the one plan the executors run.
 // Strategies:
 //  * kContiguous      — equal-width row ranges (the naive 1D split);
 //  * kDegreeBalanced  — 1D row ranges cut on the oriented out-degree
-//    prefix sum so every bank owns ~the same number of non-zeros;
+//    prefix sum so every bank owns ~the same number of non-zeros.
+//    A 1D plan is the no-hub banks x 1 grid: bank b's row range is row
+//    stripe b, run as one full-width tile;
 //  * k2dHubReplicated — row x column tiles with a replicated hub set
 //    (LA3-style). The top-degree "hub" columns are cloned into every
 //    bank's private working set (COW slab shares, not copies) and
@@ -106,7 +109,8 @@ struct TileInfo {
   std::uint32_t bank = 0;       ///< executing bank
 };
 
-/// The complete 2D execution plan. Arc routing invariant: an arc
+/// The complete execution plan of a partition (for the 1D strategies
+/// the no-hub banks x 1 grid). Arc routing invariant: an arc
 /// (i, j) with is_hub[j] runs in the hub lane of the unique bank b
 /// with hub_row_bounds[b] <= i < hub_row_bounds[b+1]; a tail arc runs
 /// in the unique tile (row stripe of i, col stripe of j). Every arc
@@ -149,8 +153,8 @@ struct TilePlan2d {
 
 /// One bank's share of the arc space, plus its communication stats.
 /// For the 1D strategies [row_begin, row_end) is the owned row range;
-/// for k2dHubReplicated it is the bank's hub-lane row range and the
-/// tail tiles live in GraphPartition::plan2d.
+/// for k2dHubReplicated it is the bank's hub-lane row range. Either
+/// way the bank's tiles live in GraphPartition::plan2d.
 struct ShardInfo {
   std::uint32_t bank = 0;
   graph::VertexId row_begin = 0;
@@ -230,7 +234,7 @@ struct PartitionStats {
 };
 
 /// A complete sharding: per-bank ranges + the aggregate stats, plus
-/// the tile plan when strategy == k2dHubReplicated (null otherwise).
+/// the tile plan the executors run (never null).
 struct GraphPartition {
   std::vector<ShardInfo> shards;
   PartitionStats stats;
@@ -242,8 +246,9 @@ struct GraphPartition {
 };
 
 /// Shards `csr` into `num_banks` banks. For the 1D strategies the
-/// shards are contiguous row ranges covering [0, csr.num_vertices);
-/// k2dHubReplicated delegates to Partition2dCsr with default options.
+/// shards are contiguous row ranges covering [0, csr.num_vertices) and
+/// the plan is their banks x 1 grid; k2dHubReplicated delegates to
+/// Partition2dCsr with default options.
 /// Every bank appears in the result (possibly with an empty range when
 /// num_banks > vertices). Throws std::invalid_argument when
 /// num_banks == 0.
@@ -283,7 +288,7 @@ struct GraphPartition {
 
 /// Executes bank `bank`'s share of `plan` on the host kernel: the hub
 /// lane (columns with is_hub[j], rows in the bank's lane range) plus
-/// its tail tiles. Returns the RAW Eq. (5) bitcount — the caller sums
+/// its tiles — the host executor of every strategy. Returns the RAW Eq. (5) bitcount — the caller sums
 /// the banks and applies the orientation divide once. When `replica`
 /// is non-null it is used as the column store for the hub lane (the
 /// bank's private hub replica; must be shape-compatible and

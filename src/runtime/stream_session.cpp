@@ -11,7 +11,7 @@ namespace tcim::runtime {
 
 namespace {
 
-/// True when `delta` may change the previous epoch's built 2D serving
+/// True when `delta` may change the previous epoch's built serving
 /// plan: the vertex space grew (is_hub / tile bounds are sized to the
 /// old n), or an op endpoint is a hub column (its replicated slice
 /// data changes — either endpoint, conservatively, since orientation
@@ -53,7 +53,7 @@ std::uint64_t StreamSession::PublishLocked(const stream::EdgeDelta* delta) {
   snap.matrix =
       std::make_shared<const bit::SlicedMatrix>(counter_.graph().matrix());
 
-  // 2D serving-plan carry-forward: the new epoch shares the previous
+  // Serving-plan carry-forward: the new epoch shares the previous
   // epoch's plan cache when the batch provably cannot change a built
   // plan (no hub-touching ops, no vertex growth) — steady-state tail
   // traffic then re-plans zero times. Otherwise the new epoch starts

@@ -2,13 +2,15 @@
 // generator family x bank count x orientation x slice width, plus the
 // PaperDataset stand-ins), the arc-routing dedup property under
 // adversarial hand-built tile plans (fuzz), replica equivalence, the
-// auto-hub replica budget, and the strategy-aware stat regression that
-// pins the 1D numbers (ISSUE PR 8).
+// auto-hub replica budget, the plan invariants of every strategy (a 1D
+// plan is the no-hub banks x 1 grid), and the strategy-aware stat
+// regression that pins the 1D numbers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -113,8 +115,7 @@ TEST_P(Partition2dExactnessTest, EveryCellMatchesBaselineRawAndDivided) {
       // Per-tile/lane raw bitcounts must sum to the full-matrix raw
       // bitcount BEFORE the orientation divide — the kFullSymmetric
       // trap (a single shard's bitcount need not divide by 6).
-      const std::uint64_t raw_full =
-          matrix.AndPopcountRows(0, matrix.num_vertices());
+      const std::uint64_t raw_full = matrix.AndPopcountAllEdges();
       EXPECT_EQ(SumShards(matrix, *p.plan2d), raw_full);
       // The hardware-model branch of the same row pass: LUT8 tiles sum
       // to the same raw total.
@@ -184,8 +185,7 @@ TEST(Partition2dTest, ExplicitHubCountsIncludingZeroOneAndAllStayExact) {
   const Graph g = graph::Rmat(512, 4000, graph::RmatParams{}, 9);
   const bit::SlicedMatrix matrix =
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
-  const std::uint64_t raw_full =
-      matrix.AndPopcountRows(0, matrix.num_vertices());
+  const std::uint64_t raw_full = matrix.AndPopcountAllEdges();
   const std::uint32_t n = matrix.num_vertices();
   for (const std::uint32_t hub_k : {0u, 1u, n, n + 100u}) {
     for (const std::uint32_t banks : {1u, 3u, 8u}) {
@@ -238,18 +238,26 @@ TEST(Partition2dTest, AutoHubSelectionRespectsReplicaBudget) {
   }
 }
 
-// --- plan structure invariants ---------------------------------------------
+// --- plan structure invariants (every strategy) ----------------------------
 
-TEST(Partition2dTest, PlanInvariantsHold) {
+class PlanInvariantsTest : public ::testing::TestWithParam<PartitionStrategy> {
+};
+
+TEST_P(PlanInvariantsTest, PlanInvariantsHold) {
+  const PartitionStrategy strategy = GetParam();
   const Graph g = graph::Rmat(700, 5000, graph::RmatParams{}, 7);
   const bit::SlicedMatrix matrix =
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
+  const std::uint64_t raw_full = matrix.AndPopcountAllEdges();
   for (const std::uint32_t banks : {1u, 2u, 5u, 16u}) {
+    SCOPED_TRACE(::testing::Message() << "banks=" << banks);
     const GraphPartition p =
-        runtime::Partition2dMatrix(matrix, banks, Partition2dOptions{});
+        runtime::PartitionMatrixRows(matrix, banks, strategy);
     ASSERT_NE(p.plan2d, nullptr);
     const TilePlan2d& plan = *p.plan2d;
     const std::uint32_t n = matrix.num_vertices();
+    ASSERT_EQ(plan.num_banks, banks);
+    ASSERT_EQ(plan.num_vertices, n);
     // Stripe bounds cover [0, n] monotonically.
     ASSERT_EQ(plan.row_bounds.size(), plan.row_stripes + 1u);
     ASSERT_EQ(plan.col_bounds.size(), plan.col_stripes + 1u);
@@ -271,18 +279,81 @@ TEST(Partition2dTest, PlanInvariantsHold) {
       std::set<std::uint32_t> stripes;
       for (const std::uint32_t t : plan.bank_tiles[b]) {
         EXPECT_TRUE(seen.insert(t).second) << "tile " << t << " double-owned";
+        EXPECT_EQ(plan.tiles[t].bank, b);
         stripes.insert(plan.tiles[t].col_stripe);
       }
       EXPECT_LE(stripes.size(), 1u) << "bank " << b << " spans col stripes";
     }
     EXPECT_EQ(seen.size(), plan.tiles.size());
-    // Shard invariants shared with the 1D strategies.
+    // Disjoint arc cover: every arc lands in exactly one executor
+    // region (a hub lane or a tile), and the tiles' arc counts add up.
+    std::vector<std::uint64_t> tile_arcs(plan.tiles.size(), 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      matrix.rows().ForEachSetBit(i, [&](std::uint64_t j64) {
+        const auto j = static_cast<std::uint32_t>(j64);
+        const bool hub = !plan.is_hub.empty() && plan.is_hub[j] != 0;
+        std::uint32_t regions = 0;
+        for (std::uint32_t b = 0; b < banks; ++b) {
+          if (hub && plan.hub_row_bounds[b] <= i &&
+              i < plan.hub_row_bounds[b + 1]) {
+            ++regions;
+          }
+        }
+        for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
+          const runtime::TileInfo& tile = plan.tiles[t];
+          if (!hub && tile.row_begin <= i && i < tile.row_end &&
+              tile.col_begin <= j && j < tile.col_end) {
+            ++regions;
+            ++tile_arcs[t];
+          }
+        }
+        EXPECT_EQ(regions, 1u) << "arc (" << i << ", " << j << ")";
+      });
+    }
+    for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
+      EXPECT_EQ(plan.tiles[t].arcs, tile_arcs[t]) << "tile " << t;
+    }
+    // The banks' raw bitcounts sum to the whole matrix's exactly.
+    EXPECT_EQ(SumShards(matrix, plan), raw_full);
+    // Shard invariants shared by every strategy.
+    std::uint64_t owned = 0;
     for (const runtime::ShardInfo& shard : p.shards) {
       EXPECT_LE(shard.cut_arcs, shard.owned_arcs);
       EXPECT_LE(shard.remote_cols, shard.needed_cols);
+      owned += shard.owned_arcs;
+    }
+    EXPECT_EQ(owned, matrix.edge_count());
+    // A 1D plan is the no-hub banks x 1 grid over the shard ranges.
+    if (strategy != PartitionStrategy::k2dHubReplicated) {
+      EXPECT_TRUE(plan.hubs.empty());
+      EXPECT_EQ(plan.row_stripes, banks);
+      EXPECT_EQ(plan.col_stripes, 1u);
+      for (std::uint32_t b = 0; b < banks; ++b) {
+        ASSERT_EQ(plan.bank_tiles[b].size(), 1u);
+        const runtime::TileInfo& tile = plan.tiles[plan.bank_tiles[b][0]];
+        EXPECT_EQ(tile.row_begin, p.shards[b].row_begin);
+        EXPECT_EQ(tile.row_end, p.shards[b].row_end);
+      }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, PlanInvariantsTest,
+    ::testing::Values(PartitionStrategy::kContiguous,
+                      PartitionStrategy::kDegreeBalanced,
+                      PartitionStrategy::k2dHubReplicated),
+    [](const ::testing::TestParamInfo<PartitionStrategy>& info) {
+      switch (info.param) {
+        case PartitionStrategy::kContiguous:
+          return std::string("contiguous");
+        case PartitionStrategy::kDegreeBalanced:
+          return std::string("degree");
+        case PartitionStrategy::k2dHubReplicated:
+          return std::string("twod");
+      }
+      return std::string("unknown");
+    });
 
 TEST(Partition2dTest, RecordsReplicaMetrics) {
   const Graph g = graph::Rmat(512, 4000, graph::RmatParams{}, 9);
@@ -391,7 +462,7 @@ TEST(Partition2dFuzzTest, RandomizedTilePlansNeverDoubleCount) {
     const bit::SlicedMatrix matrix =
         core::BuildSlicedMatrix(g, orientation, 64);
     const std::uint32_t n = matrix.num_vertices();
-    const std::uint64_t raw_full = matrix.AndPopcountRows(0, n);
+    const std::uint64_t raw_full = matrix.AndPopcountAllEdges();
     const auto banks =
         static_cast<std::uint32_t>(1 + rng.UniformBelow(9));
     const TilePlan2d plan = RandomPlan(rng, n, banks);
@@ -445,8 +516,13 @@ TEST(Partition1dStatsTest, DegreeBalancedStatsUnchangedByStrategyAwareness) {
     EXPECT_EQ(p.stats.row_stripes, 0u);
     EXPECT_EQ(p.stats.col_stripes, 0u);
     EXPECT_EQ(p.stats.tile_imbalance, 0.0);
-    EXPECT_EQ(p.plan2d, nullptr);
     EXPECT_EQ(p.stats.ReplicaOverhead(), 0.0);
+    // The plan is the no-hub banks x 1 grid, never null.
+    ASSERT_NE(p.plan2d, nullptr);
+    EXPECT_TRUE(p.plan2d->hubs.empty());
+    EXPECT_TRUE(p.plan2d->is_hub.empty());
+    EXPECT_EQ(p.plan2d->row_stripes, 6u);
+    EXPECT_EQ(p.plan2d->col_stripes, 1u);
   }
 }
 

@@ -349,10 +349,10 @@ TEST(RunRowsTest, DisjointRangesPartitionTheBitcount) {
   const std::uint32_t n = matrix.num_vertices();
   const core::TcimResult full =
       accel.RunOnMatrix(matrix, Orientation::kUpper);
-  const core::TcimResult lo =
-      accel.RunOnMatrixRows(matrix, Orientation::kUpper, 0, n / 3);
-  const core::TcimResult hi =
-      accel.RunOnMatrixRows(matrix, Orientation::kUpper, n / 3, n);
+  const core::TcimResult lo = accel.RunOnMatrixPlan(
+      matrix, Orientation::kUpper, arch::BankExecPlan::RowShard(0, n / 3, n));
+  const core::TcimResult hi = accel.RunOnMatrixPlan(
+      matrix, Orientation::kUpper, arch::BankExecPlan::RowShard(n / 3, n, n));
   EXPECT_EQ(lo.exec.accumulated_bitcount + hi.exec.accumulated_bitcount,
             full.exec.accumulated_bitcount);
   EXPECT_EQ(lo.exec.valid_pairs + hi.exec.valid_pairs,
@@ -364,11 +364,14 @@ TEST(RunRowsTest, InvalidRangeThrows) {
   const core::TcimAccelerator accel{SmallConfig()};
   const bit::SlicedMatrix matrix =
       core::BuildSlicedMatrix(g, Orientation::kUpper, 64);
+  const std::uint32_t n = matrix.num_vertices();
   EXPECT_THROW(
-      (void)accel.RunOnMatrixRows(matrix, Orientation::kUpper, 5, 3),
+      (void)accel.RunOnMatrixPlan(matrix, Orientation::kUpper,
+                                  arch::BankExecPlan::RowShard(5, 3, n)),
       std::out_of_range);
   EXPECT_THROW(
-      (void)accel.RunOnMatrixRows(matrix, Orientation::kUpper, 0, 11),
+      (void)accel.RunOnMatrixPlan(matrix, Orientation::kUpper,
+                                  arch::BankExecPlan::RowShard(0, n + 1, n)),
       std::out_of_range);
 }
 

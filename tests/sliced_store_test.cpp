@@ -343,7 +343,7 @@ TEST(SlicedMatrix, HeapBytesPositiveForNonEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Gathered Eq. (5) evaluation: AndPopcountAllEdges/AndPopcountRows
+// Gathered Eq. (5) evaluation: AndPopcountAllEdges/AndPopcountRect
 // gather valid pairs and issue block dispatches; these tests pin the
 // gathered path to the per-pair formulation it replaced, across slice
 // widths (words_per_slice 1..8), row shards, and forced backends.
@@ -423,15 +423,15 @@ TEST(SlicedMatrixBatched, DisjointRowShardsPartitionTheTotal) {
     for (std::uint32_t s = 0; s < shards; ++s) {
       const std::uint32_t begin = m.num_vertices() * s / shards;
       const std::uint32_t end = m.num_vertices() * (s + 1) / shards;
-      sum += m.AndPopcountRows(begin, end);
+      sum += m.AndPopcountRect(begin, end, 0, m.num_vertices());
     }
     EXPECT_EQ(sum, total) << "shards=" << shards;
   }
-  EXPECT_EQ(m.AndPopcountRows(0, 0), 0u);
-  EXPECT_EQ(m.AndPopcountRows(m.num_vertices(), m.num_vertices()), 0u);
-  EXPECT_THROW((void)m.AndPopcountRows(2, 1), std::out_of_range);
-  EXPECT_THROW((void)m.AndPopcountRows(0, m.num_vertices() + 1),
-               std::out_of_range);
+  const std::uint32_t n = m.num_vertices();
+  EXPECT_EQ(m.AndPopcountRect(0, 0, 0, n), 0u);
+  EXPECT_EQ(m.AndPopcountRect(n, n, 0, n), 0u);
+  EXPECT_THROW((void)m.AndPopcountRect(2, 1, 0, n), std::out_of_range);
+  EXPECT_THROW((void)m.AndPopcountRect(0, n + 1, 0, n), std::out_of_range);
 }
 
 TEST(SlicedMatrixBatched, LargeRowCrossesFlushBoundary) {
@@ -448,7 +448,7 @@ TEST(SlicedMatrixBatched, HotPathNeverTouchesHardwareModelCounters) {
   const SlicedMatrix m = RandomUpperMatrix(200, 8, 64, 5);
   const std::uint64_t before = Lut8Invocations();
   (void)m.AndPopcountAllEdges();
-  (void)m.AndPopcountRows(0, m.num_vertices());
+  (void)m.AndPopcountRect(0, m.num_vertices(), 0, m.num_vertices());
   (void)AndPopcountVectors(m.rows(), 0, m.cols(), 1);
   EXPECT_EQ(Lut8Invocations(), before)
       << "gathered kBuiltin path fed words to the LUT8 hardware model";
@@ -489,7 +489,8 @@ TEST(SlicedMatrixRouting, RowShardCountersSumToWholeMatrix) {
        {std::pair<std::uint32_t, std::uint32_t>{0, 100},
         {100, 101},
         {101, 400}}) {
-    sum += m.AndPopcountRows(begin, end, PopcountKind::kBuiltin, &sharded);
+    sum += m.AndPopcountRect(begin, end, 0, m.num_vertices(), nullptr, true,
+                             nullptr, PopcountKind::kBuiltin, &sharded);
   }
   EXPECT_EQ(sum, total);
   EXPECT_EQ(sharded.TotalPairs(), whole.TotalPairs());
