@@ -597,10 +597,7 @@ GraphPartition PartitionMatrixRows(const bit::SlicedMatrix& matrix,
 
 void PrintPartitionTable(std::ostream& os, const GraphPartition& partition) {
   using util::TablePrinter;
-  const bool is_2d =
-      partition.stats.strategy == PartitionStrategy::k2dHubReplicated &&
-      partition.plan2d != nullptr;
-  if (is_2d) {
+  if (partition.stats.strategy == PartitionStrategy::k2dHubReplicated) {
     const TilePlan2d& plan = *partition.plan2d;
     TablePrinter t({"Bank", "Lane rows", "Tiles", "Arcs", "Share", "Cut %",
                     "Resident cols"});

@@ -20,7 +20,7 @@ bool Invalidates2dPlan(const ServingPlan2d& plan,
                        const stream::EdgeDelta& delta,
                        graph::VertexId new_num_vertices) {
   const TilePlan2d* plan2d = plan.partition.plan2d.get();
-  if (plan2d == nullptr || plan2d->num_vertices != new_num_vertices) {
+  if (plan2d->num_vertices != new_num_vertices) {
     return true;
   }
   for (const stream::EdgeOp& op : delta.ops) {
