@@ -167,6 +167,8 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
   ExecStats stats;
   stats.per_subarray_ands.assign(array_.num_subarrays(), 0);
   stats.per_subarray_writes.assign(array_.num_subarrays(), 0);
+  // Fan columns of one slice index over several sets when the graph
+  // has fewer slice indices than the array has sets (see mapper.h).
   const std::uint64_t spread =
       config_.spread_override != 0
           ? config_.spread_override

@@ -228,7 +228,7 @@ class SlicedStore {
 
   /// Calls fn(position) for every set bit of vector v with position in
   /// [lo, hi), in increasing order — the column-range arc iteration of
-  /// the 2D tile executor (a tile enumerates only arcs whose target
+  /// the tile executors (a tile enumerates only arcs whose target
   /// falls inside its column stripe). Seeks the first candidate slice
   /// by binary search, so a narrow range costs O(log slices + slices
   /// overlapping the range) instead of a full-vector walk; a range

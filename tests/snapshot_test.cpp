@@ -338,7 +338,7 @@ INSTANTIATE_TEST_SUITE_P(Orientations, SnapshotOrientationTest,
                            return graph::ToString(info.param);
                          });
 
-// --- 2D serving-plan cache under streaming updates -------------------------
+// --- serving-plan cache under streaming updates ---------------------------
 
 TEST(Snapshot2dServing, HubFlipInvalidatesPlanAndPreservesPinnedEpochs) {
   // The streaming regression of the k2dHubReplicated serving path: a
@@ -439,6 +439,55 @@ TEST(Snapshot2dServing, VertexGrowthInvalidatesCarriedPlan) {
   EXPECT_FALSE(pin1->plan2d->has_plan());
   EXPECT_EQ(pool.HostCountEpoch(*pin1), pin1->triangles);
   EXPECT_EQ(OracleCount(pin1), pin1->triangles);
+}
+
+TEST(Snapshot2dServing, RowShardPlansShareTheEpochCache) {
+  // The 1D strategies serve through the same per-epoch plan cache. A 1D
+  // plan has no hubs, so a batch carries it forward unless the vertex
+  // space grows; and the cache is keyed by strategy, so a 2D pool never
+  // runs the 1D plan it finds there.
+  for (const auto strategy : {runtime::PartitionStrategy::kContiguous,
+                              runtime::PartitionStrategy::kDegreeBalanced}) {
+    SCOPED_TRACE(runtime::ToString(strategy));
+    StreamSession session(graph::ErdosRenyi(100, 500, 5));
+    runtime::BankPoolConfig pool_config;
+    pool_config.num_banks = 3;
+    pool_config.partition = strategy;
+    const runtime::BankPool pool(pool_config);
+
+    const EpochManager::Pin pin0 = session.PinEpoch();
+    ASSERT_EQ(pool.HostCountEpoch(*pin0), pin0->triangles);
+    const auto built0 = pin0->plan2d->Get();
+    ASSERT_NE(built0, nullptr);
+    EXPECT_TRUE(built0->partition.plan2d->hubs.empty());
+    EXPECT_TRUE(built0->replicas.empty());
+
+    EdgeDelta edit;
+    edit.Insert(0, 99);
+    edit.Insert(1, 98);
+    (void)session.Apply(edit);
+    const EpochManager::Pin pin1 = session.PinEpoch();
+    EXPECT_EQ(pin1->plan2d, pin0->plan2d);
+    EXPECT_EQ(pool.HostCountEpoch(*pin1), pin1->triangles);
+    EXPECT_EQ(OracleCount(pin1), pin1->triangles);
+    EXPECT_EQ(session.plan2d_invalidations(), 0u);
+
+    runtime::BankPoolConfig pool2d_config = pool_config;
+    pool2d_config.partition = runtime::PartitionStrategy::k2dHubReplicated;
+    pool2d_config.partition2d.hub_k = 4;
+    const runtime::BankPool pool2d(pool2d_config);
+    EXPECT_EQ(pool2d.HostCountEpoch(*pin1), pin1->triangles);
+    EXPECT_FALSE(pin1->plan2d->Get()->partition.plan2d->hubs.empty());
+
+    EdgeDelta grow;
+    grow.Insert(150, 151);  // beyond the seed's 100 vertices
+    (void)session.Apply(grow);
+    EXPECT_EQ(session.plan2d_invalidations(), 1u);
+    const EpochManager::Pin pin2 = session.PinEpoch();
+    EXPECT_FALSE(pin2->plan2d->has_plan());
+    EXPECT_EQ(pool.HostCountEpoch(*pin2), pin2->triangles);
+    EXPECT_EQ(OracleCount(pin2), pin2->triangles);
+  }
 }
 
 }  // namespace
