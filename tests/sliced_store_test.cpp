@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +13,9 @@
 #include "bitmatrix/kernel_backend.h"
 #include "bitmatrix/sliced_matrix.h"
 #include "bitmatrix/sliced_store.h"
+#include "core/bitwise_tc.h"
+#include "graph/datasets.h"
+#include "graph/generators.h"
 #include "util/env.h"
 #include "util/rng.h"
 
@@ -710,6 +715,80 @@ TEST(SlicedStoreFuzz, RandomizedFlipBatchesMatchFreshSlicing) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// The per-edge merge (ForEachValidPair) as the oracle of ComputeStats:
+// the 9 Table II stand-ins (scale 0.02, seed 42, |S| = 64, upper
+// orientation) plus a star and a clique, whose hub pivot rows are where
+// a row-indexed walk and the per-edge merge differ most.
+
+SlicedMatrix OracleMatrix(const std::string& name) {
+  if (name == "star") {
+    return core::BuildSlicedMatrix(graph::Star(3000),
+                                   graph::Orientation::kUpper, 64);
+  }
+  if (name == "clique") {
+    return core::BuildSlicedMatrix(graph::Complete(200),
+                                   graph::Orientation::kUpper, 64);
+  }
+  const graph::DatasetInstance inst = graph::SynthesizePaperGraph(
+      graph::GetPaperRefByName(name).id, /*scale=*/0.02, /*seed=*/42);
+  return core::BuildSlicedMatrix(inst.graph, graph::Orientation::kUpper, 64);
+}
+
+std::vector<std::string> OracleInputs() {
+  std::vector<std::string> names;
+  for (const graph::PaperRef& ref : graph::AllPaperRefs()) {
+    names.emplace_back(ref.name);
+  }
+  names.emplace_back("star");
+  names.emplace_back("clique");
+  return names;
+}
+
+std::string OracleTestName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  }
+  return name;
+}
+
+class MergeOracleTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MergeOracleTest, ComputeStatsMatchesThePerEdgeMergeExactly) {
+  const SlicedMatrix m = OracleMatrix(GetParam());
+  std::uint64_t edges = 0;
+  std::uint64_t valid_pairs = 0;
+  std::set<std::pair<std::uint32_t, std::size_t>> row_touched;
+  std::set<std::pair<std::uint32_t, std::size_t>> col_touched;
+  for (std::uint32_t i = 0; i < m.num_vertices(); ++i) {
+    m.rows().ForEachSetBit(i, [&](std::uint64_t j64) {
+      const auto j = static_cast<std::uint32_t>(j64);
+      ++edges;
+      m.ForEachValidPair(i, j, [&](std::uint32_t, std::size_t ra,
+                                   std::size_t cb) {
+        ++valid_pairs;
+        row_touched.emplace(i, ra);
+        col_touched.emplace(j, cb);
+      });
+    });
+  }
+  const SliceStats s = m.ComputeStats();
+  EXPECT_GT(valid_pairs, 0u);
+  EXPECT_EQ(s.edges, edges);
+  EXPECT_EQ(s.valid_pairs, valid_pairs);
+  EXPECT_EQ(s.total_pairs, edges * m.rows().slices_per_vector());
+  EXPECT_EQ(s.touched_row_slices, row_touched.size());
+  EXPECT_EQ(s.touched_col_slices, col_touched.size());
+  EXPECT_EQ(s.row_valid_slices, m.rows().valid_slice_count());
+  EXPECT_EQ(s.col_valid_slices, m.cols().valid_slice_count());
+  EXPECT_EQ(s.row_slice_slots, m.rows().total_slice_slots());
+  EXPECT_EQ(s.col_slice_slots, m.cols().total_slice_slots());
+}
+
+INSTANTIATE_TEST_SUITE_P(StandInsStarClique, MergeOracleTest,
+                         ::testing::ValuesIn(OracleInputs()), OracleTestName);
 
 }  // namespace
 }  // namespace tcim::bit
