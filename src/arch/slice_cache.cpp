@@ -1,5 +1,6 @@
 #include "arch/slice_cache.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tcim::arch {
@@ -24,25 +25,31 @@ SliceCache::SliceCache(std::uint64_t num_sets, std::uint32_t associativity,
         "SliceCache: need at least one set and one way");
   }
   sets_.resize(num_sets);
-  for (Set& s : sets_) {
-    s.ways.resize(associativity_);
-  }
 }
 
-std::uint32_t SliceCache::PickVictim(const Set& set) {
+void SliceCache::PushFront(Set& set, std::uint32_t way) {
+  set.prev[way] = kNoWay;
+  set.next[way] = set.head;
+  (set.head == kNoWay ? set.tail : set.prev[set.head]) = way;
+  set.head = way;
+}
+
+void SliceCache::MoveToFront(Set& set, std::uint32_t way) {
+  if (set.head == way) return;
+  const std::uint32_t p = set.prev[way];  // not kNoWay: way is not the head
+  const std::uint32_t n = set.next[way];
+  set.next[p] = n;
+  (n == kNoWay ? set.tail : set.prev[n]) = p;
+  PushFront(set, way);
+}
+
+std::uint32_t SliceCache::PickVictim(Set& set) {
   switch (policy_) {
-    case ReplacementPolicy::kLru: {
-      std::uint32_t victim = 0;
-      for (std::uint32_t w = 1; w < associativity_; ++w) {
-        if (set.ways[w].last_use < set.ways[victim].last_use) victim = w;
-      }
-      return victim;
-    }
+    case ReplacementPolicy::kLru:
+      return set.tail;
     case ReplacementPolicy::kFifo: {
-      std::uint32_t victim = 0;
-      for (std::uint32_t w = 1; w < associativity_; ++w) {
-        if (set.ways[w].inserted < set.ways[victim].inserted) victim = w;
-      }
+      const std::uint32_t victim = set.fifo_next;
+      set.fifo_next = victim + 1 == associativity_ ? 0 : victim + 1;
       return victim;
     }
     case ReplacementPolicy::kRandom:
@@ -57,36 +64,37 @@ AccessResult SliceCache::AccessImpl(std::uint64_t set_id, std::uint64_t tag,
     throw std::out_of_range("SliceCache::Access: set out of range");
   }
   Set& set = sets_[set_id];
+  const bool lru = policy_ == ReplacementPolicy::kLru;
   if (count_stats) ++stats_.lookups;
-  ++clock_;
 
-  for (std::uint32_t w = 0; w < associativity_; ++w) {
-    Way& way = set.ways[w];
-    if (way.valid && way.tag == tag) {
-      way.last_use = clock_;
-      if (count_stats) ++stats_.hits;
-      return {.hit = true, .way = w, .evicted = false, .evicted_tag = 0};
-    }
+  const auto found = std::find(set.tags.begin(), set.tags.end(), tag);
+  if (found != set.tags.end()) {
+    const auto w = static_cast<std::uint32_t>(found - set.tags.begin());
+    if (lru) MoveToFront(set, w);
+    if (count_stats) ++stats_.hits;
+    return {.hit = true, .way = w, .evicted = false, .evicted_tag = 0};
   }
 
   if (count_stats) {
     ++stats_.misses;
     ++stats_.inserts;
   }
-  // Prefer an invalid way (cold fill).
-  for (std::uint32_t w = 0; w < associativity_; ++w) {
-    Way& way = set.ways[w];
-    if (!way.valid) {
-      way = Way{.tag = tag, .valid = true, .last_use = clock_,
-                .inserted = clock_};
-      return {.hit = false, .way = w, .evicted = false, .evicted_tag = 0};
+  // Cold fill: the next free way.
+  const auto resident = static_cast<std::uint32_t>(set.tags.size());
+  if (resident < associativity_) {
+    set.tags.push_back(tag);
+    if (lru) {
+      set.prev.push_back(kNoWay);
+      set.next.push_back(kNoWay);
+      PushFront(set, resident);
     }
+    return {.hit = false, .way = resident, .evicted = false, .evicted_tag = 0};
   }
   // Full set: evict per policy (the paper's "data exchange").
   const std::uint32_t victim = PickVictim(set);
-  const std::uint64_t old_tag = set.ways[victim].tag;
-  set.ways[victim] = Way{.tag = tag, .valid = true, .last_use = clock_,
-                         .inserted = clock_};
+  const std::uint64_t old_tag = set.tags[victim];
+  set.tags[victim] = tag;
+  if (lru) MoveToFront(set, victim);
   if (count_stats) ++stats_.exchanges;
   return {.hit = false, .way = victim, .evicted = true,
           .evicted_tag = old_tag};
@@ -104,21 +112,15 @@ bool SliceCache::Contains(std::uint64_t set_id, std::uint64_t tag) const {
   if (set_id >= sets_.size()) {
     throw std::out_of_range("SliceCache::Contains: set out of range");
   }
-  for (const Way& way : sets_[set_id].ways) {
-    if (way.valid && way.tag == tag) return true;
-  }
-  return false;
+  const std::vector<std::uint64_t>& tags = sets_[set_id].tags;
+  return std::find(tags.begin(), tags.end(), tag) != tags.end();
 }
 
 std::uint32_t SliceCache::Occupancy(std::uint64_t set_id) const {
   if (set_id >= sets_.size()) {
     throw std::out_of_range("SliceCache::Occupancy: set out of range");
   }
-  std::uint32_t n = 0;
-  for (const Way& way : sets_[set_id].ways) {
-    if (way.valid) ++n;
-  }
-  return n;
+  return static_cast<std::uint32_t>(sets_[set_id].tags.size());
 }
 
 }  // namespace tcim::arch

@@ -15,6 +15,12 @@
 // *miss* otherwise; a miss that must evict a resident slice to make
 // room is additionally an *exchange*.
 //
+// Cost: a cold fill takes the lowest free way and nothing ever
+// invalidates a way, so a set's residents are always a prefix of its
+// ways. A lookup scans only that prefix; the LRU victim is the tail of
+// a recency list and the FIFO victim (the oldest insert) a round-robin
+// pointer, both O(1).
+//
 // Layer: §7 arch — see docs/ARCHITECTURE.md. Units: CacheStats fields
 // are dimensionless counts; HitRate() lies in [0, 1].
 #pragma once
@@ -98,8 +104,9 @@ class SliceCache {
   /// Same placement/eviction as Access but WITHOUT touching the run
   /// statistics — the hub-replica warm-up path of the 2D runtime
   /// (load-time work, so it must not count as lookups/misses in the
-  /// Fig. 5 accounting). The LRU clock still advances, so warmed
-  /// slices age normally against later fills.
+  /// Fig. 5 accounting). An installed slice moves to the front of the
+  /// LRU recency list like any access, so warmed slices age normally
+  /// against later fills.
   AccessResult Install(std::uint64_t set, std::uint64_t tag);
 
   /// Lookup without allocation (tests/diagnostics).
@@ -110,17 +117,30 @@ class SliceCache {
   void ResetStats() noexcept { stats_ = {}; }
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    std::uint64_t last_use = 0;   // LRU clock
-    std::uint64_t inserted = 0;   // FIFO clock
-  };
+  static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
+
+  /// One set's residents. Ways fill in index order and are never
+  /// invalidated, so the residents are always ways [0, tags.size()):
+  /// lookups scan only that prefix, and the arrays grow with
+  /// residency instead of being sized by the associativity.
   struct Set {
-    std::vector<Way> ways;
+    std::vector<std::uint64_t> tags;  // tag of way w at tags[w]
+    /// LRU recency list over the resident ways (kLru only): prev/next
+    /// way of each way, head = most recently used, tail = victim.
+    std::vector<std::uint32_t> prev;
+    std::vector<std::uint32_t> next;
+    std::uint32_t head = kNoWay;
+    std::uint32_t tail = kNoWay;
+    /// FIFO victim (kFifo only): with the index-order fill the oldest
+    /// insert of a full set is a round-robin pointer.
+    std::uint32_t fifo_next = 0;
   };
 
-  [[nodiscard]] std::uint32_t PickVictim(const Set& set);
+  [[nodiscard]] std::uint32_t PickVictim(Set& set);
+  /// LRU list edits: link a freshly filled way in as most recently
+  /// used; make a resident way the most recently used.
+  static void PushFront(Set& set, std::uint32_t way);
+  static void MoveToFront(Set& set, std::uint32_t way);
   AccessResult AccessImpl(std::uint64_t set, std::uint64_t tag,
                           bool count_stats);
 
@@ -128,7 +148,6 @@ class SliceCache {
   ReplacementPolicy policy_;
   std::vector<Set> sets_;
   CacheStats stats_;
-  std::uint64_t clock_ = 0;
   util::Xoshiro256 rng_;
 };
 

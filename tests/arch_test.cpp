@@ -165,6 +165,165 @@ TEST(SliceCache, RejectsDegenerateGeometry) {
   EXPECT_THROW((void)cache.Contains(1, 0), std::out_of_range);
 }
 
+// The parent model of SliceCache, kept as the equivalence oracle: every
+// set value-initialises all of its ways, a lookup scans every way, a
+// cold fill takes the lowest invalid way, and the LRU/FIFO victim is
+// the argmin of a per-way clock stamp.
+class ReferenceSliceCache {
+ public:
+  ReferenceSliceCache(std::uint64_t num_sets, std::uint32_t associativity,
+                      ReplacementPolicy policy, std::uint64_t seed)
+      : associativity_(associativity),
+        policy_(policy),
+        sets_(num_sets, std::vector<Way>(associativity)),
+        rng_(seed) {}
+
+  [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
+  AccessResult Access(std::uint64_t set, std::uint64_t tag) {
+    return AccessImpl(set, tag, /*count_stats=*/true);
+  }
+  AccessResult Install(std::uint64_t set, std::uint64_t tag) {
+    return AccessImpl(set, tag, /*count_stats=*/false);
+  }
+  [[nodiscard]] bool Contains(std::uint64_t set, std::uint64_t tag) const {
+    for (const Way& way : sets_[set]) {
+      if (way.valid && way.tag == tag) return true;
+    }
+    return false;
+  }
+  [[nodiscard]] std::uint32_t Occupancy(std::uint64_t set) const {
+    std::uint32_t n = 0;
+    for (const Way& way : sets_[set]) n += way.valid ? 1 : 0;
+    return n;
+  }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    std::uint64_t last_use = 0;
+    std::uint64_t inserted = 0;
+  };
+
+  std::uint32_t PickVictim(const std::vector<Way>& ways) {
+    std::uint32_t victim = 0;
+    switch (policy_) {
+      case ReplacementPolicy::kLru:
+        for (std::uint32_t w = 1; w < associativity_; ++w) {
+          if (ways[w].last_use < ways[victim].last_use) victim = w;
+        }
+        return victim;
+      case ReplacementPolicy::kFifo:
+        for (std::uint32_t w = 1; w < associativity_; ++w) {
+          if (ways[w].inserted < ways[victim].inserted) victim = w;
+        }
+        return victim;
+      case ReplacementPolicy::kRandom:
+        return static_cast<std::uint32_t>(rng_.UniformBelow(associativity_));
+    }
+    return victim;
+  }
+
+  AccessResult AccessImpl(std::uint64_t set, std::uint64_t tag,
+                          bool count_stats) {
+    std::vector<Way>& ways = sets_[set];
+    if (count_stats) ++stats_.lookups;
+    ++clock_;
+    for (std::uint32_t w = 0; w < associativity_; ++w) {
+      if (ways[w].valid && ways[w].tag == tag) {
+        ways[w].last_use = clock_;
+        if (count_stats) ++stats_.hits;
+        return {.hit = true, .way = w, .evicted = false, .evicted_tag = 0};
+      }
+    }
+    if (count_stats) {
+      ++stats_.misses;
+      ++stats_.inserts;
+    }
+    const Way fresh{.tag = tag, .valid = true, .last_use = clock_,
+                    .inserted = clock_};
+    for (std::uint32_t w = 0; w < associativity_; ++w) {
+      if (!ways[w].valid) {
+        ways[w] = fresh;
+        return {.hit = false, .way = w, .evicted = false, .evicted_tag = 0};
+      }
+    }
+    const std::uint32_t victim = PickVictim(ways);
+    const std::uint64_t old_tag = ways[victim].tag;
+    ways[victim] = fresh;
+    if (count_stats) ++stats_.exchanges;
+    return {.hit = false, .way = victim, .evicted = true,
+            .evicted_tag = old_tag};
+  }
+
+  std::uint32_t associativity_;
+  ReplacementPolicy policy_;
+  std::vector<std::vector<Way>> sets_;
+  CacheStats stats_;
+  std::uint64_t clock_ = 0;
+  util::Xoshiro256 rng_;
+};
+
+void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.exchanges, b.exchanges);
+  EXPECT_EQ(a.inserts, b.inserts);
+}
+
+class CacheEquivalenceTest : public ::testing::TestWithParam<PolicyCase> {};
+
+TEST_P(CacheEquivalenceTest, MatchesTheReferenceModelOpForOp) {
+  const ReplacementPolicy policy = GetParam().policy;
+  util::Xoshiro256 rng(41);
+  for (const std::uint64_t num_sets : {1u, 2u, 3u, 5u, 8u}) {
+    for (const std::uint32_t ways : {1u, 2u, 3u, 4u, 7u, 16u, 17u}) {
+      for (const std::uint64_t universe_factor : {2u, 3u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << num_sets << " sets x " << ways << " ways, universe "
+                     << universe_factor << "x capacity");
+        const std::uint64_t seed = rng();
+        SliceCache cache(num_sets, ways, policy, seed);
+        ReferenceSliceCache reference(num_sets, ways, policy, seed);
+        const std::uint64_t universe = universe_factor * num_sets * ways;
+        for (int op = 0; op < 1500; ++op) {
+          const std::uint64_t set = rng.UniformBelow(num_sets);
+          const std::uint64_t tag = rng.UniformBelow(universe);
+          const bool install = rng.Bernoulli(0.15);
+          const AccessResult got =
+              install ? cache.Install(set, tag) : cache.Access(set, tag);
+          const AccessResult want = install ? reference.Install(set, tag)
+                                            : reference.Access(set, tag);
+          ASSERT_EQ(got.hit, want.hit) << "op " << op;
+          ASSERT_EQ(got.way, want.way) << "op " << op;
+          ASSERT_EQ(got.evicted, want.evicted) << "op " << op;
+          ASSERT_EQ(got.evicted_tag, want.evicted_tag) << "op " << op;
+          ExpectSameStats(cache.stats(), reference.stats());
+          const std::uint64_t probe = rng.UniformBelow(universe);
+          for (const std::uint64_t t : {tag, got.evicted_tag, probe}) {
+            ASSERT_EQ(cache.Contains(set, t), reference.Contains(set, t))
+                << "op " << op << " tag " << t;
+          }
+          for (std::uint64_t s = 0; s < num_sets; ++s) {
+            ASSERT_EQ(cache.Occupancy(s), reference.Occupancy(s))
+                << "op " << op << " set " << s;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, CacheEquivalenceTest,
+                         ::testing::Values(PolicyCase{ReplacementPolicy::kLru},
+                                           PolicyCase{ReplacementPolicy::kFifo},
+                                           PolicyCase{
+                                               ReplacementPolicy::kRandom}),
+                         [](const auto& info) {
+                           return ToString(info.param.policy);
+                         });
+
 // --- mapper ----------------------------------------------------------------
 
 TEST(SliceMapper, SetsCoverAllSubarrayColumnPairs) {
@@ -679,6 +838,142 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenStats>& info) {
       std::string name = std::string(info.param.dataset) + "_" +
                          ToString(info.param.policy);
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name;
+    });
+
+// Golden ExecStats of bank plans the table above does not reach: a
+// column spread above 1 (auto or forced, so one slice index spans
+// several sets and aliased groups restage), and hub-replica plans
+// (warm-up Install, hub lane, two row tiles). Same inputs as above.
+
+struct PlanGoldenStats {
+  std::uint32_t capacity_kib;
+  std::uint64_t spread_override;
+  /// Replicated hub columns: the columns with the most valid slices
+  /// (ties to the lower id); 0 = a plain two-tile plan.
+  std::uint32_t hub_cols;
+  GoldenStats golden;
+};
+
+const PlanGoldenStats kPlanGoldenStats[] = {
+    {1024u, 0u, 0u,
+     {"ego-facebook", ReplacementPolicy::kLru,
+      {88466u, 120375u, 24863u, 4u, 10017u, 0u, 120375u},
+      {120375u, 110358u, 10017u, 0u, 10017u, 792484u, 120375u, 34880u}}},
+    {1024u, 0u, 0u,
+     {"ego-facebook", ReplacementPolicy::kFifo,
+      {88466u, 120375u, 24863u, 4u, 10017u, 0u, 120375u},
+      {120375u, 110358u, 10017u, 0u, 10017u, 792484u, 120375u, 34880u}}},
+    {1024u, 0u, 0u,
+     {"ego-facebook", ReplacementPolicy::kRandom,
+      {88466u, 120375u, 24863u, 4u, 10017u, 0u, 120375u},
+      {120375u, 110358u, 10017u, 0u, 10017u, 792484u, 120375u, 34880u}}},
+    {1024u, 3u, 0u,
+     {"email-enron", ReplacementPolicy::kLru,
+      {183626u, 222223u, 118575u, 3u, 70454u, 0u, 222223u},
+      {222223u, 151769u, 70454u, 26642u, 70454u, 299929u, 222223u, 189029u}}},
+    {1024u, 3u, 0u,
+     {"email-enron", ReplacementPolicy::kFifo,
+      {183626u, 222223u, 118575u, 3u, 70473u, 0u, 222223u},
+      {222223u, 151750u, 70473u, 26661u, 70473u, 299929u, 222223u, 189048u}}},
+    {1024u, 3u, 0u,
+     {"email-enron", ReplacementPolicy::kRandom,
+      {183626u, 222223u, 118575u, 3u, 70372u, 0u, 222223u},
+      {222223u, 151851u, 70372u, 26560u, 70372u, 299929u, 222223u, 188947u}}},
+    {256u, 5u, 0u,
+     {"com-youtube", ReplacementPolicy::kLru,
+      {59752u, 277774u, 68798u, 5u, 65691u, 0u, 277774u},
+      {277774u, 212083u, 65691u, 44564u, 65691u, 102543u, 277774u, 134489u}}},
+    {256u, 5u, 0u,
+     {"com-youtube", ReplacementPolicy::kFifo,
+      {59752u, 277774u, 68798u, 5u, 76280u, 0u, 277774u},
+      {277774u, 201494u, 76280u, 55153u, 76280u, 102543u, 277774u, 145078u}}},
+    {256u, 5u, 0u,
+     {"com-youtube", ReplacementPolicy::kRandom,
+      {59752u, 277774u, 68798u, 5u, 75994u, 0u, 277774u},
+      {277774u, 201780u, 75994u, 54867u, 75994u, 102543u, 277774u, 144792u}}},
+    {256u, 0u, 16u,
+     {"com-youtube", ReplacementPolicy::kLru,
+      {59752u, 277774u, 35086u, 1u, 118486u, 1329u, 277774u},
+      {277774u, 159288u, 118486u, 106648u, 118486u, 102543u, 277774u, 153572u}}},
+    {256u, 0u, 16u,
+     {"com-youtube", ReplacementPolicy::kFifo,
+      {59752u, 277774u, 35086u, 1u, 126051u, 1329u, 277774u},
+      {277774u, 151723u, 126051u, 114213u, 126051u, 102543u, 277774u, 161137u}}},
+    {256u, 0u, 16u,
+     {"com-youtube", ReplacementPolicy::kRandom,
+      {59752u, 277774u, 35086u, 1u, 125799u, 1329u, 277774u},
+      {277774u, 151975u, 125799u, 113961u, 125799u, 102543u, 277774u, 160885u}}},
+    {1024u, 0u, 8u,
+     {"email-enron", ReplacementPolicy::kLru,
+      {183626u, 222223u, 61912u, 1u, 70884u, 50u, 222223u},
+      {222223u, 151339u, 70884u, 28238u, 70884u, 299929u, 222223u, 132796u}}},
+    {1024u, 0u, 8u,
+     {"email-enron", ReplacementPolicy::kFifo,
+      {183626u, 222223u, 61912u, 1u, 71015u, 50u, 222223u},
+      {222223u, 151208u, 71015u, 28369u, 71015u, 299929u, 222223u, 132927u}}},
+    {1024u, 0u, 8u,
+     {"email-enron", ReplacementPolicy::kRandom,
+      {183626u, 222223u, 61912u, 1u, 71059u, 50u, 222223u},
+      {222223u, 151164u, 71059u, 28413u, 71059u, 299929u, 222223u, 132971u}}},
+};
+
+class PlanGoldenTest : public ::testing::TestWithParam<PlanGoldenStats> {};
+
+TEST_P(PlanGoldenTest, RunPlanReproducesTheGoldenStats) {
+  const PlanGoldenStats& param = GetParam();
+  const graph::DatasetInstance inst = graph::SynthesizePaperGraph(
+      graph::GetPaperRefByName(param.golden.dataset).id, /*scale=*/0.02,
+      /*seed=*/42);
+  const bit::SlicedMatrix matrix =
+      core::BuildSlicedMatrix(inst.graph, graph::Orientation::kUpper, 64);
+  const std::uint32_t n = matrix.num_vertices();
+
+  std::vector<std::uint32_t> by_slices(n);
+  std::iota(by_slices.begin(), by_slices.end(), 0u);
+  std::stable_sort(by_slices.begin(), by_slices.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return matrix.cols().SliceCount(a) >
+                            matrix.cols().SliceCount(b);
+                   });
+  BankExecPlan plan;
+  std::vector<std::uint8_t> is_hub(n, 0);
+  if (param.hub_cols > 0) {
+    plan.hub_cols.assign(by_slices.begin(),
+                         by_slices.begin() + param.hub_cols);
+    std::sort(plan.hub_cols.begin(), plan.hub_cols.end());
+    for (const std::uint32_t h : plan.hub_cols) is_hub[h] = 1;
+    plan.hub_row_end = n;
+    plan.is_hub = is_hub.data();
+  }
+  plan.tiles.push_back(BankExecPlan::Tile{0, n / 2, 0, n});
+  plan.tiles.push_back(BankExecPlan::Tile{n / 2, n, 0, n});
+
+  nvsim::ArrayConfig config;
+  config.capacity_bytes = std::uint64_t{param.capacity_kib} << 10;
+  pim::ComputationalArray array(config);
+  ControllerConfig controller_config;
+  controller_config.policy = param.golden.policy;
+  controller_config.spread_override = param.spread_override;
+  Controller controller(array, controller_config);
+  const ExecStats stats = controller.RunPlan(matrix, plan);
+  EXPECT_EQ(array.accumulated_count(), stats.accumulated_bitcount);
+  ExpectGolden(stats, param.golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SpreadAndHubPlans, PlanGoldenTest, ::testing::ValuesIn(kPlanGoldenStats),
+    [](const ::testing::TestParamInfo<PlanGoldenStats>& info) {
+      const PlanGoldenStats& p = info.param;
+      std::string name = std::string(p.golden.dataset) + "_" +
+                         std::to_string(p.capacity_kib) + "KiB_" +
+                         (p.hub_cols > 0
+                              ? std::to_string(p.hub_cols) + "hubs"
+                              : "spread" + std::to_string(p.spread_override)) +
+                         "_" + ToString(p.golden.policy);
       for (char& ch : name) {
         if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
       }
