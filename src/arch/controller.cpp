@@ -43,56 +43,84 @@ ExecStats Controller::RunRows(const bit::SlicedMatrix& matrix,
 
 // One work item = one valid slice pair of one edge.
 struct Controller::WorkItem {
-  std::uint32_t slice_index;
-  std::uint32_t row_ordinal;   // ordinal of RiSk within row i
+  std::uint64_t order_key;     // (j mod spread) << 32 | j
   std::uint32_t col_vertex;    // j
+  std::uint32_t slice_index;   // k
+  std::uint32_t row_ordinal;   // ordinal of RiSk within row i
   std::uint32_t col_ordinal;   // ordinal of CjSk within column j
   std::uint32_t edge_ordinal;  // index into this row's edge list
 };
 
+// Per-row buffers, reused across the rows of one run.
+struct Controller::RowScratch {
+  std::vector<WorkItem> work;                 // gather order
+  std::vector<WorkItem> sorted;               // processing order
+  std::vector<std::uint32_t> bucket;          // counting sort, per ordinal
+  std::vector<std::uint32_t> row_edges;       // j per edge of this row
+  std::vector<std::uint64_t> row_edge_count;  // per-edge BitCount
+};
+
 void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
                                 std::uint32_t i, std::uint64_t spread,
-                                std::vector<WorkItem>& work,
-                                const std::vector<std::uint32_t>& row_edges,
-                                std::vector<std::uint64_t>& row_edge_count,
-                                ExecStats& stats, EdgeCountSink* sink) {
+                                RowScratch& row, ExecStats& stats,
+                                EdgeCountSink* sink) {
   const bit::SlicedStore& rows = matrix.rows();
   const bit::SlicedStore& cols = matrix.cols();
-  const std::uint32_t slices_per_row = array_.slices_per_row();
-  if (sink != nullptr) {
-    row_edge_count.assign(row_edges.size(), 0);
+  // Processing order: by slice index k (so each RiSk is staged once
+  // per set group), then j mod spread (the set within k), then j. The
+  // walk gathers in (j, k) order, so a stable counting sort on the row
+  // ordinal (ordinals increase with k) yields (k, j); with spread > 1
+  // each k's run is then sorted by order_key. Each (j, k) occurs once
+  // per row, so the order is total.
+  const std::size_t row_slices = rows.SliceCount(i);
+  std::vector<std::uint32_t>& bucket = row.bucket;
+  bucket.assign(row_slices + 1, 0);
+  for (const WorkItem& item : row.work) ++bucket[item.row_ordinal + 1];
+  for (std::size_t a = 0; a < row_slices; ++a) bucket[a + 1] += bucket[a];
+  row.sorted.resize(row.work.size());
+  for (const WorkItem& item : row.work) {
+    row.sorted[bucket[item.row_ordinal]++] = item;  // bucket[a]: next slot
   }
-  // Group by target set so each (row slice, set) staging write
-  // happens once per processed row.
-  std::sort(work.begin(), work.end(),
-            [&](const WorkItem& a, const WorkItem& b) {
-              if (a.slice_index != b.slice_index) {
-                return a.slice_index < b.slice_index;
-              }
-              const std::uint32_t am = a.col_vertex % spread;
-              const std::uint32_t bm = b.col_vertex % spread;
-              return am != bm ? am < bm : a.col_vertex < b.col_vertex;
-            });
+  if (spread > 1) {
+    // bucket[a] is now the end of run a (and the begin of run a + 1).
+    auto begin = row.sorted.begin();
+    for (std::size_t a = 0; a < row_slices; ++a) {
+      const auto end = row.sorted.begin() + bucket[a];
+      std::sort(begin, end, [](const WorkItem& x, const WorkItem& y) {
+        return x.order_key < y.order_key;
+      });
+      begin = end;
+    }
+  }
+  if (sink != nullptr) {
+    row.row_edge_count.assign(row.row_edges.size(), 0);
+  }
 
-  std::uint64_t staged_set = 0;
-  std::uint32_t staged_k = 0;
-  bool staged = false;
-  for (const WorkItem& item : work) {
-    const std::uint64_t set =
-        mapper_.SetOf(item.slice_index, item.col_vertex, spread);
-    const std::uint64_t subarray = set / slices_per_row;
-    // Stage the row slice on first use within this row's set group.
-    // The slice index is part of the staging key: two distinct k can
-    // alias onto one set (k mod num_sets), and the staging row then
-    // must be rewritten with the new RiSk.
-    if (!staged || staged_set != set || staged_k != item.slice_index) {
-      array_.WriteSlice(mapper_.StagingAddr(set),
-                        rows.SliceWords(i, item.row_ordinal));
-      ++stats.row_slice_writes;
-      ++stats.per_subarray_writes[subarray];
-      staged = true;
-      staged_set = set;
-      staged_k = item.slice_index;
+  bool first = true;
+  std::uint32_t group_k = 0;
+  std::uint64_t group_residue = 0;
+  std::uint64_t set = 0;
+  pim::SliceAddr staging;
+  for (const WorkItem& item : row.sorted) {
+    const std::uint64_t residue = item.order_key >> 32;
+    if (first || item.slice_index != group_k || residue != group_residue) {
+      // A new (k, j mod spread) group: one set for all of it. Stage the
+      // row slice there unless the previous group left it in place.
+      // The slice index is part of the staging key: two distinct k can
+      // alias onto one set (k mod num_sets), and the staging row then
+      // must be rewritten with the new RiSk.
+      const std::uint64_t group_set =
+          mapper_.SetOf(item.slice_index, item.col_vertex, spread);
+      if (first || group_set != set || item.slice_index != group_k) {
+        staging = mapper_.StagingAddr(group_set);
+        array_.WriteSlice(staging, rows.SliceWords(i, item.row_ordinal));
+        ++stats.row_slice_writes;
+        ++stats.per_subarray_writes[staging.subarray];
+      }
+      first = false;
+      set = group_set;
+      group_k = item.slice_index;
+      group_residue = residue;
     }
     // Column slice: cache lookup, fill on miss.
     const std::uint64_t tag =
@@ -103,21 +131,20 @@ void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
       array_.WriteSlice(col_addr,
                         cols.SliceWords(item.col_vertex, item.col_ordinal));
       ++stats.col_slice_writes;
-      ++stats.per_subarray_writes[subarray];
+      ++stats.per_subarray_writes[staging.subarray];
     }
     // Dual-row activation AND + bit count.
-    const std::uint64_t pair_count =
-        array_.AndPopcount(mapper_.StagingAddr(set), col_addr);
+    const std::uint64_t pair_count = array_.AndPopcount(staging, col_addr);
     if (sink != nullptr) {
-      row_edge_count[item.edge_ordinal] += pair_count;
+      row.row_edge_count[item.edge_ordinal] += pair_count;
     }
     ++stats.valid_pairs;
-    ++stats.per_subarray_ands[subarray];
+    ++stats.per_subarray_ands[staging.subarray];
     stats.bitcount_words += array_.words_per_slice();
   }
   if (sink != nullptr) {
-    for (std::size_t e = 0; e < row_edges.size(); ++e) {
-      sink->OnEdge(i, row_edges[e], row_edge_count[e]);
+    for (std::size_t e = 0; e < row.row_edges.size(); ++e) {
+      sink->OnEdge(i, row.row_edges[e], row.row_edge_count[e]);
     }
   }
 }
@@ -162,8 +189,6 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
       throw std::out_of_range("Controller::RunPlan: invalid tile");
     }
   }
-  const bit::SlicedStore& rows = matrix.rows();
-
   ExecStats stats;
   stats.per_subarray_ands.assign(array_.num_subarrays(), 0);
   stats.per_subarray_writes.assign(array_.num_subarrays(), 0);
@@ -172,7 +197,7 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
   const std::uint64_t spread =
       config_.spread_override != 0
           ? config_.spread_override
-          : mapper_.SpreadFor(rows.slices_per_vector());
+          : mapper_.SpreadFor(matrix.rows().slices_per_vector());
   stats.spread = spread;
 
   const bool have_hubs = plan.is_hub != nullptr && !plan.hub_cols.empty();
@@ -180,9 +205,8 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
     WarmReplicas(matrix, plan.hub_cols, spread, stats);
   }
 
-  std::vector<WorkItem> work;
-  std::vector<std::uint32_t> row_edges;       // j per edge of this row
-  std::vector<std::uint64_t> row_edge_count;  // per-edge BitCount
+  RowScratch row;
+  bit::SlicedMatrix::RowPairWalker walker(matrix);
   // Gathers pivot row i's arcs with j in [col_begin, col_end) on the
   // requested side of the hub split, then processes them grouped by
   // slice index so each RiSk is staged exactly once per row
@@ -190,23 +214,27 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
   // rule).
   const auto run_row = [&](std::uint32_t i, std::uint32_t col_begin,
                            std::uint32_t col_end, bool hub_lane) {
-    work.clear();
-    row_edges.clear();
-    rows.ForEachSetBitInRange(i, col_begin, col_end, [&](std::uint64_t j64) {
-      const auto j = static_cast<std::uint32_t>(j64);
-      if (plan.is_hub != nullptr && (plan.is_hub[j] != 0) != hub_lane) return;
-      ++stats.edges_processed;
-      const auto edge_ordinal = static_cast<std::uint32_t>(row_edges.size());
-      row_edges.push_back(j);
-      matrix.ForEachValidPair(
-          i, j, [&](std::uint32_t k, std::size_t ra, std::size_t cb) {
-            work.push_back(WorkItem{k, static_cast<std::uint32_t>(ra), j,
-                                    static_cast<std::uint32_t>(cb),
-                                    edge_ordinal});
-          });
-    });
-    ProcessRowWork(matrix, i, spread, work, row_edges, row_edge_count, stats,
-                   sink);
+    row.work.clear();
+    row.row_edges.clear();
+    std::uint64_t residue = 0;  // j mod spread of the current arc
+    walker.Walk(
+        i, col_begin, col_end,
+        [&](std::uint32_t j) {
+          if (plan.is_hub != nullptr && (plan.is_hub[j] != 0) != hub_lane) {
+            return false;
+          }
+          ++stats.edges_processed;
+          row.row_edges.push_back(j);
+          residue = j % spread;
+          return true;
+        },
+        [&](std::uint32_t j, std::uint32_t k, std::size_t ra, std::size_t cb) {
+          row.work.push_back(WorkItem{
+              (residue << 32) | j, j, k, static_cast<std::uint32_t>(ra),
+              static_cast<std::uint32_t>(cb),
+              static_cast<std::uint32_t>(row.row_edges.size() - 1)});
+        });
+    ProcessRowWork(matrix, i, spread, row, stats, sink);
   };
 
   // Hub lane: the bank's lane rows against the (replicated) hub

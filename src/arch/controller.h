@@ -3,12 +3,15 @@
 // computational array.
 //
 // Per the paper's dataflow (Fig. 4): the compressed graph (valid slice
-// index + slice data) streams from the data buffer; for each non-zero
-// A[i][j] the valid slice pairs (RiSk, CjSk) are enumerated; the row
-// slice is staged into the set's staging row (once per (row, k) — the
-// data-reuse "rows are overwritten" rule), the column slice is looked
-// up in the set's cache ways (hit = reuse, miss = WRITE, full = LRU
-// exchange), and a dual-row-activation AND feeds the bit counter.
+// index + slice data) streams from the data buffer; per pivot row i the
+// row's valid slice ordinals go into a row-indexed table once, and for
+// each non-zero A[i][j] column j's valid slice indices are probed
+// against it to enumerate the valid slice pairs (RiSk, CjSk)
+// (bit::SlicedMatrix::RowPairWalker); the row slice is staged into the
+// set's staging row (once per (row, k) — the data-reuse "rows are
+// overwritten" rule), the column slice is looked up in the set's cache
+// ways (hit = reuse, miss = WRITE, full = LRU exchange), and a
+// dual-row-activation AND feeds the bit counter.
 //
 // The run is *functionally verified*: the accumulated bit-counter
 // total is the Eq. (5) sum computed entirely through simulated array
@@ -182,15 +185,14 @@ class Controller {
                                      const ControllerConfig& controller);
 
   struct WorkItem;
-  /// Executes one pivot row's gathered work (set-grouped sort, staging
-  /// writes, cache lookups, ANDs, sink flush) — RunPlan's per-row
-  /// body. `work`/`row_edges` are the caller's gather output;
-  /// `row_edge_count` is reusable scratch.
+  struct RowScratch;
+  /// Executes one pivot row's gathered work (set-grouped ordering,
+  /// staging writes, cache lookups, ANDs, sink flush) — RunPlan's
+  /// per-row body. `row` holds the caller's gather output and the
+  /// reusable per-row buffers.
   void ProcessRowWork(const bit::SlicedMatrix& matrix, std::uint32_t i,
-                      std::uint64_t spread, std::vector<WorkItem>& work,
-                      const std::vector<std::uint32_t>& row_edges,
-                      std::vector<std::uint64_t>& row_edge_count,
-                      ExecStats& stats, EdgeCountSink* sink);
+                      std::uint64_t spread, RowScratch& row, ExecStats& stats,
+                      EdgeCountSink* sink);
   /// Pre-loads every valid slice of `hub_cols` into the cache + array.
   void WarmReplicas(const bit::SlicedMatrix& matrix,
                     const std::vector<std::uint32_t>& hub_cols,

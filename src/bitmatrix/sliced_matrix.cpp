@@ -1,5 +1,6 @@
 #include "bitmatrix/sliced_matrix.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "bitmatrix/kernel_backend.h"
@@ -247,26 +248,31 @@ SliceStats SlicedMatrix::ComputeStats() const {
   stats.row_slice_slots = rows_.total_slice_slots();
   stats.col_slice_slots = cols_.total_slice_slots();
 
-  std::vector<bool> row_touched(rows_.valid_slice_count(), false);
-  std::vector<bool> col_touched(cols_.valid_slice_count(), false);
+  // Byte flags by global ordinal: one plain store per pair side.
+  std::vector<std::uint8_t> row_touched(rows_.valid_slice_count(), 0);
+  std::vector<std::uint8_t> col_touched(cols_.valid_slice_count(), 0);
 
   const std::uint32_t n = num_vertices();
-  const std::uint64_t per_vector = rows_.slices_per_vector();
+  RowPairWalker walker(*this);
   for (std::uint32_t i = 0; i < n; ++i) {
-    rows_.ForEachSetBit(i, [&](std::uint64_t j64) {
-      const auto j = static_cast<std::uint32_t>(j64);
-      ++stats.edges;
-      stats.total_pairs += per_vector;
-      ForEachValidPair(i, j, [&](std::uint32_t /*slice*/, std::size_t ra,
-                                 std::size_t cb) {
-        ++stats.valid_pairs;
-        row_touched[rows_.GlobalOrdinal(i, ra)] = true;
-        col_touched[cols_.GlobalOrdinal(j, cb)] = true;
-      });
-    });
+    walker.Walk(
+        i, 0, n,
+        [&](std::uint32_t /*j*/) {
+          ++stats.edges;
+          return true;
+        },
+        [&](std::uint32_t j, std::uint32_t /*slice*/, std::size_t ra,
+            std::size_t cb) {
+          ++stats.valid_pairs;
+          row_touched[rows_.GlobalOrdinal(i, ra)] = 1;
+          col_touched[cols_.GlobalOrdinal(j, cb)] = 1;
+        });
   }
-  for (const bool t : row_touched) stats.touched_row_slices += t ? 1 : 0;
-  for (const bool t : col_touched) stats.touched_col_slices += t ? 1 : 0;
+  stats.total_pairs = stats.edges * rows_.slices_per_vector();
+  stats.touched_row_slices = static_cast<std::uint64_t>(
+      std::count(row_touched.begin(), row_touched.end(), 1));
+  stats.touched_col_slices = static_cast<std::uint64_t>(
+      std::count(col_touched.begin(), col_touched.end(), 1));
   return stats;
 }
 

@@ -4,8 +4,10 @@
 // compressed graph is kept in *both* orientations: a row store (out-
 // neighbor bitmaps) and a column store (in-neighbor bitmaps). The AND
 // runs only on *valid slice pairs* — slice index k such that both
-// RiSk and CjSk are valid — enumerated here by merging the two sorted
-// valid-slice index lists.
+// RiSk and CjSk are valid — enumerated here either by merging the two
+// sorted valid-slice index lists (ForEachValidPair) or by probing a
+// column's list against its pivot row's scattered slice ordinals
+// (RowPairWalker).
 //
 // Layer: §5 bitmatrix — see docs/ARCHITECTURE.md. Units:
 // CompressedBytes()/WorkingSetBytes() are bytes under the paper's
@@ -13,6 +15,7 @@
 // SliceStats field is a dimensionless count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -153,13 +156,74 @@ class SlicedMatrix {
   /// Merge-enumerates valid slice pairs of (row i, column j), calling
   ///   fn(slice_index, row_ordinal, col_ordinal)
   /// in increasing slice_index order, where the ordinals index into
-  /// SliceWords/GlobalOrdinal of the respective stores.
+  /// SliceWords/GlobalOrdinal of the respective stores. Re-walks row
+  /// i's whole index list per call: the per-edge reference oracle of
+  /// RowPairWalker.
   template <typename Fn>
   void ForEachValidPair(std::uint32_t i, std::uint32_t j, Fn&& fn) const {
     const std::span<const std::uint32_t> ri = rows_.SliceIndices(i);
     ForEachMatchedSlice(ri, cols_.SliceIndices(j),
                         [&](std::size_t a, std::size_t b) { fn(ri[a], a, b); });
   }
+
+  /// Row-indexed valid-pair walker — the pair enumerator of the
+  /// architectural simulator (arch::Controller) and ComputeStats. Walk
+  /// scatters pivot row i's valid slice ordinals into a table of
+  /// slices_per_vector() entries once, then probes each arc's column
+  /// index list, clipped to the row's slice span, against it — so an
+  /// arc costs O(log |Cj| + the column's slices in that span) instead
+  /// of a merge over both whole lists. Per arc the pairs come in
+  /// increasing slice index: exactly the tuples ForEachValidPair
+  /// yields. The matrix must outlive the walker and stay unmodified
+  /// while it is used.
+  class RowPairWalker {
+   public:
+    explicit RowPairWalker(const SlicedMatrix& matrix)
+        : matrix_(matrix),
+          row_ordinal_of_slice_(
+              static_cast<std::size_t>(matrix.rows().slices_per_vector()),
+              kNoOrdinal) {}
+
+    /// For every arc A[i][j] with j in [col_begin, col_end), in
+    /// increasing j, calls on_arc(j); when it returns true, calls
+    ///   on_pair(j, slice_index, row_ordinal, col_ordinal)
+    /// for every valid slice pair of (row i, column j).
+    template <typename ArcFn, typename PairFn>
+    void Walk(std::uint32_t i, std::uint32_t col_begin, std::uint32_t col_end,
+              ArcFn&& on_arc, PairFn&& on_pair) {
+      const std::span<const std::uint32_t> row =
+          matrix_.rows_.SliceIndices(i);
+      if (row.empty()) return;  // no valid slice, so no arc either
+      for (std::size_t a = 0; a < row.size(); ++a) {
+        row_ordinal_of_slice_[row[a]] = static_cast<std::uint32_t>(a);
+      }
+      matrix_.rows_.ForEachSetBitInRange(
+          i, col_begin, col_end, [&](std::uint64_t j64) {
+            const auto j = static_cast<std::uint32_t>(j64);
+            if (!on_arc(j)) return;
+            // Only slices inside the row's span [front, back] can
+            // match: seek the column's first one, stop past the last.
+            const std::span<const std::uint32_t> col =
+                matrix_.cols_.SliceIndices(j);
+            auto b = static_cast<std::size_t>(
+                std::lower_bound(col.begin(), col.end(), row.front()) -
+                col.begin());
+            for (; b < col.size() && col[b] <= row.back(); ++b) {
+              const std::uint32_t a = row_ordinal_of_slice_[col[b]];
+              if (a != kNoOrdinal) on_pair(j, col[b], a, b);
+            }
+          });
+      // Only the row's own entries were written: clearing them keeps
+      // the table ready for the next row (rows may be revisited).
+      for (const std::uint32_t k : row) row_ordinal_of_slice_[k] = kNoOrdinal;
+    }
+
+   private:
+    static constexpr std::uint32_t kNoOrdinal = ~std::uint32_t{0};
+
+    const SlicedMatrix& matrix_;
+    std::vector<std::uint32_t> row_ordinal_of_slice_;
+  };
 
   /// Software evaluation of Eq. (5) over the compressed stores: for
   /// every non-zero A[i][j], Σ BitCount(AND(RiSk, CjSk)) over valid
@@ -207,7 +271,7 @@ class SlicedMatrix {
       PopcountKind kind = PopcountKind::kBuiltin,
       PairPathCounters* counters = nullptr) const;
 
-  /// Full statistics pass (Tables III/IV); costs one edge iteration.
+  /// Full statistics pass (Tables III/IV): one RowPairWalker pass.
   [[nodiscard]] SliceStats ComputeStats() const;
 
   /// O(log slices) test of one non-zero: is A[i][j] set?

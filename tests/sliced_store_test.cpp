@@ -7,6 +7,7 @@
 #include <cctype>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -722,18 +723,20 @@ TEST(SlicedStoreFuzz, RandomizedFlipBatchesMatchFreshSlicing) {
 // orientation) plus a star and a clique, whose hub pivot rows are where
 // a row-indexed walk and the per-edge merge differ most.
 
-SlicedMatrix OracleMatrix(const std::string& name) {
+SlicedMatrix OracleMatrix(const std::string& name,
+                          std::uint32_t slice_bits = 64) {
   if (name == "star") {
     return core::BuildSlicedMatrix(graph::Star(3000),
-                                   graph::Orientation::kUpper, 64);
+                                   graph::Orientation::kUpper, slice_bits);
   }
   if (name == "clique") {
     return core::BuildSlicedMatrix(graph::Complete(200),
-                                   graph::Orientation::kUpper, 64);
+                                   graph::Orientation::kUpper, slice_bits);
   }
   const graph::DatasetInstance inst = graph::SynthesizePaperGraph(
       graph::GetPaperRefByName(name).id, /*scale=*/0.02, /*seed=*/42);
-  return core::BuildSlicedMatrix(inst.graph, graph::Orientation::kUpper, 64);
+  return core::BuildSlicedMatrix(inst.graph, graph::Orientation::kUpper,
+                                 slice_bits);
 }
 
 std::vector<std::string> OracleInputs() {
@@ -785,6 +788,67 @@ TEST_P(MergeOracleTest, ComputeStatsMatchesThePerEdgeMergeExactly) {
   EXPECT_EQ(s.col_valid_slices, m.cols().valid_slice_count());
   EXPECT_EQ(s.row_slice_slots, m.rows().total_slice_slots());
   EXPECT_EQ(s.col_slice_slots, m.cols().total_slice_slots());
+}
+
+// One visited valid slice pair: (j, k, row ordinal, column ordinal).
+using PairTuple = std::tuple<std::uint32_t, std::uint32_t, std::size_t,
+                             std::size_t>;
+
+TEST_P(MergeOracleTest, RowPairWalkerVisitsExactlyTheMergedPairs) {
+  for (const std::uint32_t slice_bits : {64u, 512u}) {
+    SCOPED_TRACE(::testing::Message() << "|S| = " << slice_bits);
+    const SlicedMatrix m = OracleMatrix(GetParam(), slice_bits);
+    const std::uint32_t n = m.num_vertices();
+    struct Rect {
+      const char* name;
+      std::uint32_t row_begin, row_end, col_begin, col_end;
+    };
+    const Rect rects[] = {
+        {"full", 0, n, 0, n},
+        {"row-clipped", n / 4, 3 * n / 4, 0, n},
+        {"column-clipped", 0, n, n / 3, 2 * n / 3},
+        {"empty rows", n / 2, n / 2, 0, n},
+        {"empty columns", 0, n, n / 2, n / 2},
+    };
+    SlicedMatrix::RowPairWalker walker(m);
+    std::uint64_t pairs_in_full = 0;
+    for (const Rect& rect : rects) {
+      SCOPED_TRACE(rect.name);
+      std::vector<PairTuple> want;
+      std::vector<PairTuple> got;
+      std::vector<std::uint32_t> want_arcs;
+      std::vector<std::uint32_t> got_arcs;
+      for (std::uint32_t i = rect.row_begin; i < rect.row_end; ++i) {
+        m.rows().ForEachSetBitInRange(
+            i, rect.col_begin, rect.col_end, [&](std::uint64_t j64) {
+              const auto j = static_cast<std::uint32_t>(j64);
+              want_arcs.push_back(j);
+              // Odd columns are rejected by on_arc below.
+              if (j % 2 != 0) return;
+              m.ForEachValidPair(i, j, [&](std::uint32_t k, std::size_t ra,
+                                           std::size_t cb) {
+                want.emplace_back(j, k, ra, cb);
+              });
+            });
+        walker.Walk(
+            i, rect.col_begin, rect.col_end,
+            [&](std::uint32_t j) {
+              got_arcs.push_back(j);
+              return j % 2 == 0;
+            },
+            [&](std::uint32_t j, std::uint32_t k, std::size_t ra,
+                std::size_t cb) { got.emplace_back(j, k, ra, cb); });
+      }
+      EXPECT_EQ(got_arcs, want_arcs);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_TRUE(got == want);
+      if (rect.row_begin == 0 && rect.row_end == n && rect.col_begin == 0 &&
+          rect.col_end == n) {
+        pairs_in_full = got.size();
+      }
+    }
+    EXPECT_GT(pairs_in_full, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(StandInsStarClique, MergeOracleTest,
