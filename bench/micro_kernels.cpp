@@ -98,15 +98,27 @@ void BM_ValidPairMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidPairMerge);
 
+// LRU lookups on full sets in the paper's 16 MB geometry (4096 sets):
+// each set is filled first, then tags are drawn from twice its
+// associativity, so about half the lookups hit and the rest exchange.
+// Arg = associativity: 16, or 340 (the 16 MB array's ways under the
+// index-overhead capacity model), where a lookup scans a full set.
 void BM_SliceCacheAccess(benchmark::State& state) {
-  arch::SliceCache cache(1024, 16, arch::ReplacementPolicy::kLru);
+  constexpr std::uint64_t kSets = 4096;
+  const auto ways = static_cast<std::uint32_t>(state.range(0));
+  arch::SliceCache cache(kSets, ways, arch::ReplacementPolicy::kLru);
+  for (std::uint64_t set = 0; set < kSets; ++set) {
+    for (std::uint32_t tag = 0; tag < ways; ++tag) {
+      (void)cache.Access(set, tag);
+    }
+  }
   util::Xoshiro256 rng(6);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache.Access(rng.UniformBelow(1024), rng.UniformBelow(4096)));
+        cache.Access(rng.UniformBelow(kSets), rng.UniformBelow(2 * ways)));
   }
 }
-BENCHMARK(BM_SliceCacheAccess);
+BENCHMARK(BM_SliceCacheAccess)->Arg(16)->Arg(340);
 
 void BM_PimArrayAnd(benchmark::State& state) {
   nvsim::ArrayConfig config;

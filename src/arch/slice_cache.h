@@ -119,10 +119,9 @@ class SliceCache {
  private:
   static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
 
-  /// One set's residents. Ways fill in index order and are never
-  /// invalidated, so the residents are always ways [0, tags.size()):
-  /// lookups scan only that prefix, and the arrays grow with
-  /// residency instead of being sized by the associativity.
+  /// One set's residents: ways [0, tags.size()) by the fill-order
+  /// invariant (file comment), so the arrays grow with residency
+  /// instead of being sized by the associativity.
   struct Set {
     std::vector<std::uint64_t> tags;  // tag of way w at tags[w]
     /// LRU recency list over the resident ways (kLru only): prev/next

@@ -361,7 +361,8 @@ class SlicedStore {
 /// where x and y are the match's ordinals within `a` and `b`. Every
 /// per-vector-pair consumer of Eq. (5) — ForEachValidPair, the
 /// descriptor gather and the hardware-model loops — pairs slices
-/// through this one loop.
+/// through this one loop; per-row walks (SlicedMatrix::RowPairWalker)
+/// probe a row-indexed table instead.
 template <typename Fn>
 void ForEachMatchedSlice(std::span<const std::uint32_t> a,
                          std::span<const std::uint32_t> b, Fn&& fn) {
