@@ -811,7 +811,6 @@ TEST_P(MergeOracleTest, RowPairWalkerVisitsExactlyTheMergedPairs) {
         {"empty columns", 0, n, n / 2, n / 2},
     };
     SlicedMatrix::RowPairWalker walker(m);
-    std::uint64_t pairs_in_full = 0;
     for (const Rect& rect : rects) {
       SCOPED_TRACE(rect.name);
       std::vector<PairTuple> want;
@@ -842,12 +841,8 @@ TEST_P(MergeOracleTest, RowPairWalkerVisitsExactlyTheMergedPairs) {
       EXPECT_EQ(got_arcs, want_arcs);
       ASSERT_EQ(got.size(), want.size());
       EXPECT_TRUE(got == want);
-      if (rect.row_begin == 0 && rect.row_end == n && rect.col_begin == 0 &&
-          rect.col_end == n) {
-        pairs_in_full = got.size();
-      }
+      if (&rect == &rects[0]) EXPECT_FALSE(got.empty());  // full matrix
     }
-    EXPECT_GT(pairs_in_full, 0u);
   }
 }
 
