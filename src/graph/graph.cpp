@@ -67,14 +67,11 @@ Graph GraphBuilder::Build() && {
     g.adjacency_[cursor[u]++] = v;
     g.adjacency_[cursor[v]++] = u;
   }
-  // Edges were globally sorted by (u, v); scattering preserves order
-  // for the forward direction but not for the reverse one, so sort
-  // each adjacency list. Lists are usually short; std::sort is fine.
+  // Every row is already sorted: edges are (u < v) pairs in sorted
+  // order, so row x receives each lower neighbor u (from the pairs
+  // (u, x), ascending in u) before each higher neighbor v (from the
+  // pairs (x, v), ascending in v).
   for (VertexId v = 0; v < n_; ++v) {
-    std::sort(g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
     g.max_degree_ =
         std::max(g.max_degree_, g.offsets_[v + 1] - g.offsets_[v]);
   }

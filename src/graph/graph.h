@@ -20,6 +20,8 @@ namespace tcim::graph {
 
 using VertexId = std::uint32_t;
 
+class VertexRelabeling;
+
 /// Immutable undirected simple graph (CSR, both directions stored).
 class Graph {
  public:
@@ -73,6 +75,7 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend class VertexRelabeling;  // Apply permutes the CSR directly
 
   VertexId n_ = 0;
   std::uint64_t max_degree_ = 0;

@@ -80,10 +80,12 @@ class VertexRelabeling {
   [[nodiscard]] bool IsIdentity() const noexcept;
 
   /// The graph with every vertex renamed to its internal id —
-  /// structurally identical (triangle counts invariant), ids permuted.
-  /// Every vertex of `g` must already have an internal id (throws
-  /// std::invalid_argument otherwise — build the map from this graph,
-  /// or grow it first).
+  /// structurally identical (triangle counts invariant), ids permuted —
+  /// built in O(n + E) by permuting the CSR directly. It has size()
+  /// vertices: internal ids whose originals lie past `g` (stream
+  /// growth) are isolated. Every vertex of `g` that has edges must
+  /// already have an internal id (throws std::invalid_argument
+  /// otherwise — build the map from this graph, or grow it first).
   [[nodiscard]] Graph Apply(const Graph& g) const;
 
   /// internal -> original, dense (the inverse map threaded through
@@ -93,6 +95,10 @@ class VertexRelabeling {
   }
 
  private:
+  friend std::uint64_t CountValidSlices(const Graph& g,
+                                        const VertexRelabeling& map,
+                                        std::uint32_t slice_bits);
+
   static constexpr VertexId kUnassigned = 0xFFFFFFFFu;
 
   std::vector<VertexId> new_of_old_;  // sparse, kUnassigned holes
@@ -120,10 +126,11 @@ enum class RelabelMode : std::uint8_t { kNone, kDegree, kBfs, kAuto };
 
 /// Exact valid-slice count (row store + column store) the kUpper
 /// orientation of `g` would produce after relabeling by `map`, at
-/// `slice_bits` bits per slice — computed in O(E log E) from the edge
-/// list alone, no stores built. This is the NVS term of the paper's
-/// storage formula and the objective kAuto minimizes. Every vertex of
-/// `g` must be mapped (throws std::invalid_argument otherwise).
+/// `slice_bits` bits per slice — computed in O(n + E) by one CSR walk
+/// with a stamp per slice block, no stores built. This is the NVS term
+/// of the paper's storage formula and the objective kAuto minimizes.
+/// Every vertex of `g` that has edges must be mapped (throws
+/// std::invalid_argument otherwise).
 [[nodiscard]] std::uint64_t CountValidSlices(const Graph& g,
                                              const VertexRelabeling& map,
                                              std::uint32_t slice_bits);

@@ -1,6 +1,8 @@
 // Tests for the CSR graph substrate and its builder invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -78,6 +80,34 @@ TEST(Graph, NeighborsAreSortedStrictlyIncreasing) {
       ASSERT_LT(nbrs[i - 1], nbrs[i]);
     }
   }
+}
+
+TEST(Graph, RowsSortedWhenEdgesArriveDescendingReversedAndDuplicated) {
+  // Build() sorts the edge list once, globally; every row must come out
+  // sorted from that alone, whatever order the edges were added in.
+  constexpr VertexId kN = 40;
+  GraphBuilder b(kN);
+  std::vector<std::vector<VertexId>> expected(kN);
+  for (VertexId u = kN; u-- > 0;) {
+    for (VertexId v = kN; v-- > u + 1;) {
+      if ((u * 7 + v * 3) % 4 != 0) continue;
+      b.AddEdge(v, u);  // reversed endpoints
+      b.AddEdge(u, v);  // the same edge again
+      if (v % 3 == 0) b.AddEdge(v, u);
+      expected[u].push_back(v);
+      expected[v].push_back(u);
+    }
+  }
+  const Graph g = std::move(b).Build();
+  std::uint64_t max_degree = 0;
+  for (VertexId v = 0; v < kN; ++v) {
+    std::sort(expected[v].begin(), expected[v].end());
+    const auto nbrs = g.Neighbors(v);
+    EXPECT_EQ(std::vector<VertexId>(nbrs.begin(), nbrs.end()), expected[v])
+        << "vertex " << v;
+    max_degree = std::max<std::uint64_t>(max_degree, expected[v].size());
+  }
+  EXPECT_EQ(g.max_degree(), max_degree);
 }
 
 TEST(Graph, AdjacencyIsSymmetric) {
