@@ -1,15 +1,30 @@
-// Tests for the CSR graph substrate and its builder invariants.
+// Tests for the CSR graph substrate and its builder invariants, and an
+// exactness oracle: the sort-based GraphBuilder::Build (graph_oracle.h)
+// matched bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph_oracle.h"
 #include "util/rng.h"
 
 namespace tcim::graph {
 namespace {
+
+/// A random simple graph on n vertices from `attempts` random pairs.
+Graph ErdosRenyiLike(VertexId n, int attempts, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  GraphBuilder b(n);
+  for (int i = 0; i < attempts; ++i) {
+    b.AddEdge(static_cast<VertexId>(rng.UniformBelow(n)),
+              static_cast<VertexId>(rng.UniformBelow(n)));
+  }
+  return std::move(b).Build();
+}
 
 TEST(GraphBuilder, EmptyGraph) {
   const Graph g = GraphBuilder(0).Build();
@@ -194,6 +209,63 @@ TEST(Graph, OffsetsSpanAdjacency) {
   for (std::size_t i = 1; i < offsets.size(); ++i) {
     EXPECT_LE(offsets[i - 1], offsets[i]);
   }
+}
+
+// --- Sort-based oracle ------------------------------------------------------
+
+void ExpectBuildMatchesOracle(VertexId n, const oracle::EdgeList& edges,
+                              const std::string& label) {
+  const Graph g = oracle::BuildGraph(n, edges);
+  const oracle::ReferenceCsr want = oracle::ReferenceGraphBuilderBuild(n, edges);
+  oracle::ExpectSameGraph(g, want, label);
+  // No slack is kept: the CSR arrays hold exactly their contents.
+  EXPECT_EQ(g.HeapBytes(), want.offsets.size() * sizeof(std::uint64_t) +
+                               want.adjacency.size() * sizeof(VertexId))
+      << label;
+}
+
+TEST(GraphBuilderOracle, PaperStandInsShuffledCopiesAndCornerCases) {
+  for (const oracle::OracleInput& in : oracle::OracleInputs()) {
+    ExpectBuildMatchesOracle(in.num_vertices, in.edges, in.name);
+    ExpectBuildMatchesOracle(in.num_vertices,
+                             oracle::Scrambled(in.edges, 7 + in.edges.size()),
+                             in.name + " scrambled");
+  }
+}
+
+TEST(GraphBuilderOracle, ReversedDuplicatedAndSelfLoopEdges) {
+  const Graph g = ErdosRenyiLike(300, 2500, 11);
+  const oracle::EdgeList edges = oracle::EdgesOf(g);
+  ASSERT_GE(edges.size(), 300u);
+  // Descending order with both endpoints swapped.
+  oracle::EdgeList reversed(edges.rbegin(), edges.rend());
+  for (auto& [u, v] : reversed) std::swap(u, v);
+  ExpectBuildMatchesOracle(300, reversed, "reversed");
+  // Every edge three times: as given, reversed, as given.
+  oracle::EdgeList tripled;
+  for (const auto& [u, v] : edges) {
+    tripled.emplace_back(u, v);
+    tripled.emplace_back(v, u);
+    tripled.emplace_back(u, v);
+  }
+  ExpectBuildMatchesOracle(300, tripled, "tripled");
+  // A self-loop on every vertex, interleaved with the edges.
+  oracle::EdgeList looped;
+  for (VertexId v = 0; v < 300; ++v) {
+    looped.emplace_back(v, v);
+    if (v < edges.size()) looped.push_back(edges[v]);
+  }
+  looped.insert(looped.end(), edges.begin() + 300, edges.end());
+  ExpectBuildMatchesOracle(300, looped, "looped");
+  ExpectBuildMatchesOracle(4, {{2, 2}, {0, 0}, {3, 3}}, "only self-loops");
+  ExpectBuildMatchesOracle(3, {{2, 0}, {0, 2}, {2, 0}, {0, 2}}, "one edge x4");
+  // A hub whose row receives every duplicate of every spoke.
+  oracle::EdgeList hub;
+  for (int round = 0; round < 3; ++round) {
+    for (VertexId v = 1; v < 200; ++v) hub.emplace_back(v, 0);
+  }
+  ExpectBuildMatchesOracle(200, hub, "hub");
+  ExpectBuildMatchesOracle(1, {}, "single vertex");
 }
 
 }  // namespace

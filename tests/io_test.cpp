@@ -1,18 +1,29 @@
 // Tests for SNAP text + binary graph serialization, the strict
-// vertex-id token parser both text readers share, and the checked-in
-// malformed-input corpus (tests/data/malformed).
+// vertex-id token parser both text readers share, the checked-in
+// malformed-input corpus (tests/data/malformed), and an exactness
+// oracle: the getline + hash-map SNAP reader matched bit for bit,
+// error messages included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "graph_oracle.h"
 #include "stream/edge_delta.h"
+#include "util/rng.h"
 
 namespace tcim::graph {
 namespace {
@@ -317,6 +328,167 @@ TEST(MalformedCorpusInventory, CoversBothReaders) {
   }
   EXPECT_GE(snap_files, 5u);
   EXPECT_GE(delta_files, 5u);
+}
+
+// --- getline + hash-map oracle ---------------------------------------------
+
+/// ReadSnapEdgeList line by line: std::getline, the shared
+/// NextToken / ParseVertexIdToken checks, one hash-map node per
+/// distinct id, dense ids in sorted-id order, then the sort-based build.
+oracle::ReferenceCsr ReferenceReadSnapEdgeList(std::istream& in) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> raw_edges;
+  std::unordered_map<std::uint64_t, VertexId> remap;
+  std::string line;
+  std::uint64_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    std::string_view rest = line;
+    const std::string_view first = NextToken(rest);
+    if (first.empty() || first.front() == '#' || first.front() == '%') {
+      continue;
+    }
+    const std::uint64_t u = ParseVertexIdToken(first, line_no);
+    const std::uint64_t v = ParseVertexIdToken(NextToken(rest), line_no);
+    for (std::string_view extra = NextToken(rest); !extra.empty();
+         extra = NextToken(rest)) {
+      double value = 0.0;
+      const char* const last = extra.data() + extra.size();
+      const auto [ptr, ec] = std::from_chars(extra.data(), last, value);
+      if (ec != std::errc{} || ptr != last) {
+        throw std::runtime_error("graph::io: line " + std::to_string(line_no) +
+                                 ": trailing junk '" + std::string(extra) +
+                                 "'");
+      }
+    }
+    raw_edges.emplace_back(u, v);
+    remap.try_emplace(u, 0);
+    remap.try_emplace(v, 0);
+  }
+  std::vector<std::uint64_t> ids;
+  for (const auto& [id, _] : remap) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  for (VertexId dense = 0; dense < ids.size(); ++dense) {
+    remap[ids[dense]] = dense;
+  }
+  oracle::EdgeList edges;
+  for (const auto& [u, v] : raw_edges) edges.emplace_back(remap[u], remap[v]);
+  return oracle::ReferenceGraphBuilderBuild(static_cast<VertexId>(ids.size()),
+                                            edges);
+}
+
+/// ReadSnapEdgeList and the oracle agree on `text`: the same CSR, or
+/// the same error message.
+void ExpectReadMatchesOracle(const std::string& text,
+                             const std::string& label) {
+  std::istringstream want_in(text);
+  std::istringstream got_in(text);
+  oracle::ReferenceCsr want;
+  const std::string want_error =
+      ErrorOf([&] { want = ReferenceReadSnapEdgeList(want_in); });
+  Graph got;
+  const std::string got_error = ErrorOf([&] { got = ReadSnapEdgeList(got_in); });
+  EXPECT_EQ(got_error, want_error) << label;
+  if (want_error.empty() && got_error.empty()) {
+    oracle::ExpectSameGraph(got, want, label);
+  }
+}
+
+/// `edges` as SNAP text, every endpoint v written as id_of(v), in the
+/// formats real files mix: tab or space runs, CRLF endings, comment
+/// and blank lines, timestamp and weight columns, and no newline after
+/// the last line.
+std::string SnapText(const oracle::EdgeList& edges,
+                     const std::function<std::uint64_t(VertexId)>& id_of,
+                     std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::string text = "# FromNodeId\tToNodeId\n";
+  constexpr std::array<const char*, 4> kSeparators = {" ", "\t", "  ", " \t"};
+  for (const auto& [u, v] : edges) {
+    switch (rng.UniformBelow(32)) {
+      case 0:
+        text += "% comment\n";
+        break;
+      case 1:
+        text += " \t \r\n";
+        break;
+      default:
+        break;
+    }
+    text += std::to_string(id_of(u));
+    text += kSeparators[rng.UniformBelow(kSeparators.size())];
+    text += std::to_string(id_of(v));
+    switch (rng.UniformBelow(16)) {
+      case 0:
+        text += "\t1588893600";
+        break;
+      case 1:
+        text += " 0.75 -3.5e-2";
+        break;
+      default:
+        break;
+    }
+    text += rng.UniformBelow(8) == 0 ? "\r\n" : "\n";
+  }
+  if (!text.empty() && text.back() == '\n') text.pop_back();
+  return text;
+}
+
+TEST(SnapReaderOracle, PaperStandInsShuffledCopiesAndCornerCases) {
+  // Ids as built or spread over 3x the range (gaps), and ids 10^6x the
+  // range apart or past 32 bits (sparse): both sides of the remap
+  // switch, alternated over the inputs.
+  const std::function<std::uint64_t(VertexId)> ids[][2] = {
+      {[](VertexId v) { return std::uint64_t{v}; },
+       [](VertexId v) { return 1000003 * std::uint64_t{v} + 17; }},
+      {[](VertexId v) { return 3 * std::uint64_t{v} + 1; },
+       [](VertexId v) { return (std::uint64_t{1} << 40) + v; }},
+  };
+  std::size_t index = 0;
+  for (const oracle::OracleInput& in : oracle::OracleInputs()) {
+    const oracle::EdgeList edges =
+        oracle::Scrambled(in.edges, 3 + in.edges.size());
+    const auto& [dense, sparse] = ids[index++ % 2];
+    ExpectReadMatchesOracle(SnapText(edges, dense, in.edges.size()),
+                            in.name + " dense");
+    ExpectReadMatchesOracle(SnapText(edges, sparse, in.edges.size()),
+                            in.name + " sparse");
+  }
+}
+
+TEST(SnapReaderOracle, EdgeCasesAndMalformedInputs) {
+  const char* const cases[] = {
+      "",
+      "\n",
+      "# only a comment",
+      "# comments\n% only\n",
+      "  \t \n\r\n \n",
+      "0 1",
+      "0 1\r\n",
+      "0 1\r",
+      "5 5\n",
+      "0 18446744073709551615\n",
+      "18446744073709551615 0\n7 18446744073709551615",
+      "4294967296 4294967297\n4294967297 1\n",
+      "9 3\n3 9\n9 3\n3 3\n",
+      "0 1\nnot numbers\n",
+      "0\n",
+      "0 1\n1 2x",
+      "0 1\n1 2 abc",
+      "0 1\r\n-5 1\r\n",
+      "0 1\n+3 4\n",
+      "0x1F 2\n",
+      "0 99999999999999999999\n",
+      "0 1 1588893600 ok\n",
+      "0 1\n# fine\n2 3oops\n",
+  };
+  for (const char* text : cases) ExpectReadMatchesOracle(text, text);
+  for (const std::filesystem::path& path : MalformedCorpusFiles()) {
+    if (path.extension() != ".txt") continue;
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    ExpectReadMatchesOracle(text.str(), path.filename().string());
+  }
 }
 
 }  // namespace

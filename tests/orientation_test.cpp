@@ -1,11 +1,18 @@
 // Tests for DAG orientation (paper §III): arc counts, acyclicity,
-// degree-order properties, and triangle-count equivalence across
-// orientations.
+// degree-order properties, triangle-count equivalence across
+// orientations, and an exactness oracle: the comparison-sort kDegree
+// orientation matched bit for bit.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "baseline/cpu_tc.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
+#include "graph_oracle.h"
 
 namespace tcim::graph {
 namespace {
@@ -121,6 +128,84 @@ TEST(Orientation, RowsAreSortedStrictlyIncreasing) {
       }
     }
   }
+}
+
+// --- Sort-based oracle ------------------------------------------------------
+
+/// kDegree by comparison sort: rank by (degree, id) through
+/// Graph::Degree, count and scatter the arcs that point up in rank,
+/// then sort every row.
+OrientedCsr ReferenceOrientDegree(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    const auto da = g.Degree(a);
+    const auto db = g.Degree(b);
+    return da != db ? da < db : a < b;
+  });
+  std::vector<VertexId> rank(n);
+  for (VertexId pos = 0; pos < n; ++pos) rank[order[pos]] = pos;
+
+  OrientedCsr out;
+  out.num_vertices = n;
+  out.orientation = Orientation::kDegree;
+  out.relabel = rank;
+  out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId v : g.Neighbors(u)) {
+      if (rank[v] > rank[u]) ++out.offsets[rank[u] + 1];
+    }
+  }
+  std::partial_sum(out.offsets.begin(), out.offsets.end(),
+                   out.offsets.begin());
+  out.neighbors.assign(g.num_edges(), 0);
+  std::vector<std::uint64_t> cursor(out.offsets.begin(),
+                                    out.offsets.end() - 1);
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId v : g.Neighbors(u)) {
+      if (rank[v] > rank[u]) out.neighbors[cursor[rank[u]]++] = rank[v];
+    }
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    std::sort(out.neighbors.begin() +
+                  static_cast<std::ptrdiff_t>(out.offsets[v]),
+              out.neighbors.begin() +
+                  static_cast<std::ptrdiff_t>(out.offsets[v + 1]));
+  }
+  return out;
+}
+
+void ExpectDegreeMatchesOracle(const Graph& g, const std::string& label) {
+  const OrientedCsr got = Orient(g, Orientation::kDegree);
+  const OrientedCsr want = ReferenceOrientDegree(g);
+  EXPECT_EQ(got.num_vertices, want.num_vertices) << label;
+  EXPECT_EQ(got.orientation, Orientation::kDegree) << label;
+  EXPECT_EQ(got.offsets, want.offsets) << label;
+  EXPECT_EQ(got.neighbors, want.neighbors) << label;
+  EXPECT_EQ(got.relabel, want.relabel) << label;
+  EXPECT_EQ(got.MaxOutDegree(), want.MaxOutDegree()) << label;
+}
+
+TEST(OrientationOracle, PaperStandInsShuffledCopiesAndCornerCases) {
+  for (const oracle::OracleInput& in : oracle::OracleInputs()) {
+    ExpectDegreeMatchesOracle(oracle::BuildGraph(in.num_vertices, in.edges),
+                              in.name);
+  }
+  ExpectDegreeMatchesOracle(Graph{}, "default-constructed");
+}
+
+TEST(OrientationOracle, DegreeTiesAndSkew) {
+  // Every vertex ties with others: a cycle (all degree 2), a grid
+  // (2, 3 and 4), a wheel (one hub, a tied rim) and complete bipartite
+  // sides of equal degree.
+  ExpectDegreeMatchesOracle(Cycle(500), "cycle");
+  ExpectDegreeMatchesOracle(GridLattice(30, 20), "grid");
+  ExpectDegreeMatchesOracle(Wheel(300), "wheel");
+  ExpectDegreeMatchesOracle(CompleteBipartite(40, 40), "bipartite");
+  ExpectDegreeMatchesOracle(Star(1000), "star at id 0");
+  ExpectDegreeMatchesOracle(Rmat(2048, 20000, RmatParams{}, 6), "rmat");
+  ExpectDegreeMatchesOracle(HolmeKim(400, 2400, 0.6, 8), "holme-kim");
 }
 
 }  // namespace
