@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace tcim::graph {
@@ -37,46 +38,70 @@ void GraphBuilder::AddEdge(VertexId u, VertexId v) {
     throw std::out_of_range("GraphBuilder::AddEdge: vertex out of range");
   }
   if (u == v) return;  // self-loop: irrelevant for triangle counting
-  if (u > v) std::swap(u, v);
   edges_.push_back((static_cast<std::uint64_t>(u) << 32) | v);
 }
 
 Graph GraphBuilder::Build() && {
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+  const auto source = [](std::uint64_t packed) {
+    return static_cast<VertexId>(packed >> 32);
+  };
+  const auto target = [](std::uint64_t packed) {
+    return static_cast<VertexId>(packed & 0xFFFFFFFFULL);
+  };
+  // Both arcs of every edge, grouped by source in arrival order. After
+  // the scatter, row s of `arcs` is [bound[s], bound[s + 1]); during it
+  // bound[s + 1] holds row s's start and serves as its fill cursor.
+  std::vector<std::uint64_t> bound(static_cast<std::size_t>(n_) + 1, 0);
+  for (const std::uint64_t packed : edges_) {
+    ++bound[static_cast<std::size_t>(source(packed)) + 1];
+    ++bound[static_cast<std::size_t>(target(packed)) + 1];
+  }
+  std::exclusive_scan(bound.begin() + 1, bound.end(), bound.begin() + 1,
+                      std::uint64_t{0});
+  std::vector<VertexId> arcs(2 * edges_.size());
+  for (const std::uint64_t packed : edges_) {
+    arcs[bound[static_cast<std::size_t>(source(packed)) + 1]++] =
+        target(packed);
+    arcs[bound[static_cast<std::size_t>(target(packed)) + 1]++] =
+        source(packed);
+  }
+  std::vector<std::uint64_t>().swap(edges_);
+
+  // Drop repeated arcs within each row (a target stamped s + 1 was
+  // already kept for s), compacting the rows in place. The rows then
+  // hold each undirected edge once per endpoint, so their sizes are
+  // the degrees of the graph.
+  {
+    std::vector<VertexId> stamp(n_, 0);
+    std::uint64_t kept = 0;
+    std::uint64_t begin = 0;
+    for (VertexId s = 0; s < n_; ++s) {
+      const std::uint64_t end = bound[s + 1];
+      for (std::uint64_t e = begin; e < end; ++e) {
+        const VertexId t = arcs[e];
+        if (stamp[t] != s + 1) {
+          stamp[t] = s + 1;
+          arcs[kept++] = t;
+        }
+      }
+      begin = end;
+      bound[s + 1] = kept;
+    }
+  }
 
   Graph g;
   g.n_ = n_;
-  g.offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
-
-  // Degree counting for both directions, then scatter.
-  for (const std::uint64_t packed : edges_) {
-    const auto u = static_cast<VertexId>(packed >> 32);
-    const auto v = static_cast<VertexId>(packed & 0xFFFFFFFFULL);
-    ++g.offsets_[static_cast<std::size_t>(u) + 1];
-    ++g.offsets_[static_cast<std::size_t>(v) + 1];
-  }
+  g.offsets_.resize(static_cast<std::size_t>(n_) + 1);
+  g.offsets_[0] = 0;
   for (VertexId v = 0; v < n_; ++v) {
-    g.offsets_[v + 1] += g.offsets_[v];
+    g.offsets_[v + 1] = bound[v];
+    g.max_degree_ = std::max(g.max_degree_, bound[v + 1] - bound[v]);
   }
-  g.adjacency_.assign(g.offsets_.back(), 0);
-  std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const std::uint64_t packed : edges_) {
-    const auto u = static_cast<VertexId>(packed >> 32);
-    const auto v = static_cast<VertexId>(packed & 0xFFFFFFFFULL);
-    g.adjacency_[cursor[u]++] = v;
-    g.adjacency_[cursor[v]++] = u;
-  }
-  // Every row is already sorted: edges are (u < v) pairs in sorted
-  // order, so row x receives each lower neighbor u (from the pairs
-  // (u, x), ascending in u) before each higher neighbor v (from the
-  // pairs (x, v), ascending in v).
-  for (VertexId v = 0; v < n_; ++v) {
-    g.max_degree_ =
-        std::max(g.max_degree_, g.offsets_[v + 1] - g.offsets_[v]);
-  }
-  edges_.clear();
-  edges_.shrink_to_fit();
+  g.adjacency_.resize(bound[n_]);
+  g.ScatterSortedRows([&](VertexId s) {
+    return std::span<const VertexId>(arcs.data() + bound[s],
+                                     bound[s + 1] - bound[s]);
+  });
   return g;
 }
 

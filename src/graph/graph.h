@@ -77,6 +77,20 @@ class Graph {
   friend class GraphBuilder;
   friend class VertexRelabeling;  // Apply permutes the CSR directly
 
+  /// The sorted scatter shared by GraphBuilder::Build and
+  /// VertexRelabeling::Apply, O(n + E). On entry offsets_[t + 1] holds
+  /// row t's start and adjacency_ its final size; row_of(s) yields the
+  /// neighbors of s, in any order and without duplicates. Appending
+  /// every s, ascending, to its neighbors' rows leaves each row sorted
+  /// with no sort at all, and each cursor ends on its row's end, the
+  /// next row's start.
+  template <typename RowOf>
+  void ScatterSortedRows(RowOf&& row_of) {
+    for (VertexId s = 0; s < n_; ++s) {
+      for (const VertexId t : row_of(s)) adjacency_[offsets_[t + 1]++] = s;
+    }
+  }
+
   VertexId n_ = 0;
   std::uint64_t max_degree_ = 0;
   std::vector<std::uint64_t> offsets_;  // size n_+1
@@ -99,14 +113,16 @@ class GraphBuilder {
   }
   [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
 
-  /// Sorts, deduplicates, symmetrizes and freezes into a Graph.
-  /// The builder is consumed.
+  /// Symmetrizes, deduplicates and freezes into a Graph in O(n + E),
+  /// with no sort: both arcs of every edge are scattered into rows by
+  /// source, duplicates are dropped row by row, and the shared sorted
+  /// scatter (Graph::ScatterSortedRows) transposes the rows into the
+  /// sorted CSR. The builder is consumed.
   [[nodiscard]] Graph Build() &&;
 
  private:
   VertexId n_;
-  // Edges normalized to (min, max) packed in one u64 for fast
-  // sort+dedupe of multi-ten-million edge lists.
+  // Recorded edges, (u << 32) | v, in arrival order.
   std::vector<std::uint64_t> edges_;
 };
 

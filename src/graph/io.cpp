@@ -7,8 +7,11 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <streambuf>
+#include <string>
 #include <system_error>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace tcim::graph {
@@ -68,14 +71,51 @@ std::uint64_t ParseVertexIdToken(std::string_view token, std::uint64_t line_no,
   return id;
 }
 
-Graph ReadSnapEdgeList(std::istream& in) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> raw_edges;
-  std::unordered_map<std::uint64_t, VertexId> remap;
-  std::string line;
+namespace {
+
+/// The rest of `in` in one buffer, sized up front when the stream can
+/// tell its length.
+std::string ReadRest(std::istream& in) {
+  std::string text;
+  std::streambuf* const buf = in.rdbuf();
+  if (!in || buf == nullptr) return text;
+  const std::streampos failed(std::streamoff(-1));
+  const std::streampos here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+  const std::streampos end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  if (here != failed && end != failed) {
+    buf->pubseekpos(here, std::ios::in);
+    if (end > here) text.reserve(static_cast<std::size_t>(end - here));
+  }
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  while (buf->sgetc() != std::char_traits<char>::eof()) {
+    const std::size_t size = text.size();
+    text.resize(std::max(text.capacity(), size + kChunk));
+    text.resize(size + static_cast<std::size_t>(buf->sgetn(
+                           text.data() + size,
+                           static_cast<std::streamsize>(text.size() - size))));
+  }
+  return text;
+}
+
+/// The edge lines of a SNAP edge list, ids as written.
+struct RawEdgeList {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> edges;
+  std::uint64_t max_id = 0;
+};
+
+RawEdgeList ParseSnapEdgeLines(std::istream& in) {
+  const std::string text = ReadRest(in);
+  RawEdgeList raw;
+  // At most one edge per line.
+  raw.edges.reserve(static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n') + 1));
+  std::string_view unread = text;
   std::uint64_t line_no = 0;
-  while (std::getline(in, line)) {
+  while (!unread.empty()) {
+    const std::size_t eol = std::min(unread.find('\n'), unread.size());
+    std::string_view rest = unread.substr(0, eol);
+    unread.remove_prefix(std::min(eol + 1, unread.size()));
     ++line_no;
-    std::string_view rest = line;
     const std::string_view first = NextToken(rest);
     if (first.empty() || first.front() == '#' || first.front() == '%') {
       continue;
@@ -96,26 +136,56 @@ Graph ReadSnapEdgeList(std::istream& in) {
              std::string(extra) + "'");
       }
     }
-    raw_edges.emplace_back(u, v);
-    remap.try_emplace(u, 0);
-    remap.try_emplace(v, 0);
+    raw.edges.emplace_back(u, v);
+    raw.max_id = std::max({raw.max_id, u, v});
   }
+  return raw;
+}
 
-  // Dense relabeling in first-appearance order of the *sorted* id set
-  // keeps the mapping deterministic regardless of edge order.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(remap.size());
-  for (const auto& [id, _] : remap) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (VertexId dense = 0; dense < ids.size(); ++dense) {
-    remap[ids[dense]] = dense;
-  }
+}  // namespace
 
-  GraphBuilder builder(static_cast<VertexId>(ids.size()));
-  builder.ReserveEdges(raw_edges.size());
-  for (const auto& [u, v] : raw_edges) {
-    builder.AddEdge(remap[u], remap[v]);
+Graph ReadSnapEdgeList(std::istream& in) {
+  RawEdgeList raw = ParseSnapEdgeLines(in);
+  // Dense ids follow the sorted order of the distinct original ids, so
+  // the mapping is deterministic regardless of edge order. Near-dense
+  // ids (the SNAP norm) index a table; the bound keeps it no larger
+  // than the parsed edges and max_id + 1 from overflowing.
+  std::vector<VertexId> table;
+  std::unordered_map<std::uint64_t, VertexId> remap;
+  VertexId n = 0;
+  if (raw.max_id <= kSnapDenseIdsPerEdgeLine * raw.edges.size()) {
+    // 1 marks an id in use; the ascending pass replaces each mark with
+    // its dense id before any later id is looked at.
+    table.assign(static_cast<std::size_t>(raw.max_id) + 1, 0);
+    for (const auto& [u, v] : raw.edges) {
+      table[u] = 1;
+      table[v] = 1;
+    }
+    for (VertexId& id : table) {
+      if (id != 0) id = n++;
+    }
+  } else {
+    for (const auto& [u, v] : raw.edges) {
+      remap.try_emplace(u, 0);
+      remap.try_emplace(v, 0);
+    }
+    std::vector<std::uint64_t> ids;
+    ids.reserve(remap.size());
+    for (const auto& [id, _] : remap) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    for (const std::uint64_t id : ids) remap[id] = n++;
   }
+  const auto dense = [&](std::uint64_t id) {
+    return table.empty() ? remap.find(id)->second
+                         : table[static_cast<std::size_t>(id)];
+  };
+
+  GraphBuilder builder(n);
+  builder.ReserveEdges(raw.edges.size());
+  for (const auto& [u, v] : raw.edges) builder.AddEdge(dense(u), dense(v));
+  raw = {};
+  table = {};
+  remap = {};
   return std::move(builder).Build();
 }
 

@@ -36,6 +36,12 @@ namespace tcim::graph {
     std::string_view token, std::uint64_t line_no,
     std::uint64_t max_id = std::numeric_limits<std::uint64_t>::max());
 
+/// ReadSnapEdgeList remaps ids through a dense table when the largest
+/// id is at most this many times the number of edge lines (SNAP ids
+/// are near-dense; the table then takes no more memory than the parsed
+/// edges), and through a hash map otherwise. The mapping is the same.
+inline constexpr std::uint64_t kSnapDenseIdsPerEdgeLine = 4;
+
 /// Parses a SNAP-style edge list:
 ///  * lines starting with '#' or '%' are comments;
 ///  * other lines contain two vertex ids (ParseVertexIdToken: unsigned
@@ -45,7 +51,10 @@ namespace tcim::graph {
 ///    sorted-id order;
 ///  * duplicate edges / self-loops are dropped by GraphBuilder.
 /// Throws std::runtime_error naming the line (and the offending token)
-/// on malformed lines.
+/// on malformed lines. O(file + n + E): the rest of the stream is read
+/// into one buffer and split into lines in place, ids are remapped by
+/// a table (or a hash map, see kSnapDenseIdsPerEdgeLine) and
+/// GraphBuilder builds the CSR without sorting.
 [[nodiscard]] Graph ReadSnapEdgeList(std::istream& in);
 [[nodiscard]] Graph ReadSnapEdgeListFile(const std::string& path);
 

@@ -1,7 +1,9 @@
 #include "graph/orientation.h"
 
 #include <algorithm>
-#include <numeric>
+#include <span>
+
+#include "graph/relabel.h"
 
 namespace tcim::graph {
 
@@ -28,15 +30,23 @@ std::uint64_t OrientedCsr::MaxOutDegree() const noexcept {
 namespace {
 
 OrientedCsr OrientUpper(const Graph& g) {
+  const std::span<const std::uint64_t> offsets = g.offsets();
+  const std::span<const VertexId> adjacency = g.adjacency();
   OrientedCsr out;
   out.num_vertices = g.num_vertices();
   out.orientation = Orientation::kUpper;
   out.offsets.assign(static_cast<std::size_t>(g.num_vertices()) + 1, 0);
   out.neighbors.reserve(g.num_edges());
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (const VertexId v : g.Neighbors(u)) {
-      if (v > u) out.neighbors.push_back(v);
-    }
+    // Rows are sorted: the higher neighbors are the row's suffix.
+    const auto row_end = adjacency.begin() +
+                         static_cast<std::ptrdiff_t>(offsets[u + 1]);
+    out.neighbors.insert(
+        out.neighbors.end(),
+        std::upper_bound(adjacency.begin() +
+                             static_cast<std::ptrdiff_t>(offsets[u]),
+                         row_end, u),
+        row_end);
     out.offsets[u + 1] = out.neighbors.size();
   }
   return out;
@@ -51,54 +61,17 @@ OrientedCsr OrientFull(const Graph& g) {
   return out;
 }
 
+// kUpper of the graph renamed in (degree, id) order: the new ids are
+// the ranks, so every arc points up in rank, and the rename's sorted
+// scatter leaves every row sorted.
 OrientedCsr OrientDegree(const Graph& g) {
-  const VertexId n = g.num_vertices();
-  // rank[old] = position of old in the (degree, id)-ascending order.
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    const auto da = g.Degree(a);
-    const auto db = g.Degree(b);
-    return da != db ? da < db : a < b;
-  });
-  std::vector<VertexId> rank(n);
-  for (VertexId pos = 0; pos < n; ++pos) {
-    rank[order[pos]] = pos;
-  }
-
-  OrientedCsr out;
-  out.num_vertices = n;
+  const VertexRelabeling map = VertexRelabeling::DegreeAscending(g);
+  OrientedCsr out = OrientUpper(map.Apply(g));
   out.orientation = Orientation::kDegree;
-  out.relabel = rank;
-  out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-
-  // Count arcs per relabelled source, then fill and sort rows.
-  for (VertexId u = 0; u < n; ++u) {
-    const VertexId ru = rank[u];
-    for (const VertexId v : g.Neighbors(u)) {
-      if (rank[v] > ru) {
-        ++out.offsets[static_cast<std::size_t>(ru) + 1];
-      }
-    }
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    out.offsets[v + 1] += out.offsets[v];
-  }
-  out.neighbors.assign(g.num_edges(), 0);
-  std::vector<std::uint64_t> cursor(out.offsets.begin(),
-                                    out.offsets.end() - 1);
-  for (VertexId u = 0; u < n; ++u) {
-    const VertexId ru = rank[u];
-    for (const VertexId v : g.Neighbors(u)) {
-      const VertexId rv = rank[v];
-      if (rv > ru) out.neighbors[cursor[ru]++] = rv;
-    }
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    std::sort(out.neighbors.begin() +
-                  static_cast<std::ptrdiff_t>(out.offsets[v]),
-              out.neighbors.begin() +
-                  static_cast<std::ptrdiff_t>(out.offsets[v + 1]));
+  const std::span<const VertexId> old_of_new = map.old_of_new();
+  out.relabel.resize(old_of_new.size());
+  for (VertexId rank = 0; rank < old_of_new.size(); ++rank) {
+    out.relabel[old_of_new[rank]] = rank;
   }
   return out;
 }

@@ -24,7 +24,9 @@ enum class Orientation : std::uint8_t {
   /// Arc u -> v iff u < v (natural ids; the paper's Fig. 2 layout).
   kUpper,
   /// Arc from lower (degree, id) rank to higher — bounds out-degree by
-  /// O(sqrt(m)) on skewed graphs; classic TC optimization.
+  /// O(sqrt(m)) on skewed graphs; classic TC optimization. Built in
+  /// O(n + E) as kUpper of the graph renamed by
+  /// VertexRelabeling::DegreeAscending, whose ids are those ranks.
   kDegree,
   /// Both arcs kept; Eq. (5) totals 6x the triangle count (Eq. 1).
   kFullSymmetric,

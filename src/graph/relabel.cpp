@@ -129,7 +129,7 @@ Graph VertexRelabeling::Apply(const Graph& g) const {
   out.offsets_.assign(static_cast<std::size_t>(out.n_) + 1, 0);
   // Internal row i is the row of original old_of_new_[i]; originals
   // past g's range (stream growth) are isolated. offsets_[i + 1] holds
-  // row i's start for now and serves as its fill cursor below.
+  // row i's start for now and serves as the sorted scatter's cursor.
   std::uint64_t filled = 0;
   for (VertexId internal = 0; internal < out.n_; ++internal) {
     const VertexId original = old_of_new_[internal];
@@ -149,17 +149,13 @@ Graph VertexRelabeling::Apply(const Graph& g) const {
     renamed[e] = new_of_old_[adjacency[e]];
   }
   out.adjacency_.resize(adjacency.size());
-  // Walking internal ids in ascending order appends each one to its
-  // neighbors' rows in ascending order: every row comes out sorted,
-  // and each cursor ends on its row's end, the next row's start.
-  for (VertexId internal = 0; internal < out.n_; ++internal) {
+  out.ScatterSortedRows([&](VertexId internal) {
     const VertexId original = old_of_new_[internal];
-    if (original >= n) continue;
-    for (std::uint64_t e = offsets[original]; e < offsets[original + 1];
-         ++e) {
-      out.adjacency_[out.offsets_[renamed[e] + 1]++] = internal;
-    }
-  }
+    if (original >= n) return std::span<const VertexId>();
+    return std::span<const VertexId>(
+        renamed.data() + offsets[original],
+        offsets[original + 1] - offsets[original]);
+  });
   return out;
 }
 

@@ -13,10 +13,12 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <streambuf>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -134,6 +136,98 @@ TEST(SnapReader, BothCommentStylesAnywhere) {
       "1 2\n");
   const Graph g = ReadSnapEdgeList(in);
   EXPECT_EQ(g.num_edges(), 2u);
+}
+
+/// The edges of `g` as (u, v) pairs with u < v.
+std::vector<std::pair<VertexId, VertexId>> EdgePairs(const Graph& g) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  g.ForEachEdge([&](VertexId u, VertexId v) { edges.emplace_back(u, v); });
+  return edges;
+}
+
+TEST(SnapReader, LastLineWithoutNewline) {
+  std::istringstream in("0 1\n1 2");
+  const Graph g = ReadSnapEdgeList(in);
+  EXPECT_EQ(EdgePairs(g),
+            (std::vector<std::pair<VertexId, VertexId>>{{0, 1}, {1, 2}}));
+  std::istringstream crlf("0 1\r\n1 2\r\n");
+  EXPECT_EQ(ReadSnapEdgeList(crlf).num_edges(), 2u);
+  std::istringstream bare_cr("0 1\r\n1 2\r");
+  EXPECT_EQ(ReadSnapEdgeList(bare_cr).num_edges(), 2u);
+}
+
+TEST(SnapReader, CommentsOnlyAndWhitespaceOnlyFiles) {
+  std::istringstream comments("# FromNodeId\tToNodeId\n% weights\n# end");
+  const Graph none = ReadSnapEdgeList(comments);
+  EXPECT_EQ(none.num_vertices(), 0u);
+  EXPECT_EQ(none.num_edges(), 0u);
+  std::istringstream blank(" \t\r\n\n   \n\r\n");
+  EXPECT_EQ(ReadSnapEdgeList(blank).num_vertices(), 0u);
+  std::istringstream empty("");
+  EXPECT_EQ(ReadSnapEdgeList(empty).num_vertices(), 0u);
+  std::istringstream mixed(" \t\n\n3 4\n   \n\r\n4 5\n  ");
+  EXPECT_EQ(EdgePairs(ReadSnapEdgeList(mixed)),
+            (std::vector<std::pair<VertexId, VertexId>>{{0, 1}, {1, 2}}));
+}
+
+TEST(SnapReader, DenseRemapThresholdBoundary) {
+  // Three edge lines (comments do not count): the table serves ids up
+  // to kSnapDenseIdsPerEdgeLine * 3, the hash map anything larger. The
+  // graph is the same on both sides.
+  const std::uint64_t limit = kSnapDenseIdsPerEdgeLine * 3;
+  for (const std::uint64_t top : {limit - 1, limit, limit + 1}) {
+    std::istringstream in("# header\n5 0\n" + std::to_string(top) +
+                          " 5\n# mid\n0 " + std::to_string(top) + "\n");
+    const Graph g = ReadSnapEdgeList(in);
+    EXPECT_EQ(g.num_vertices(), 3u) << top;
+    EXPECT_EQ(EdgePairs(g), (std::vector<std::pair<VertexId, VertexId>>{
+                                {0, 1}, {0, 2}, {1, 2}}))
+        << top;
+  }
+}
+
+TEST(SnapReader, LargestIdTakesTheHashMapWithoutOverflow) {
+  // max_id + 1 wraps to 0: a table sized from it would be empty, and a
+  // table of max_id entries would not fit in memory.
+  std::istringstream in("0 18446744073709551615\n");
+  const Graph g = ReadSnapEdgeList(in);
+  EXPECT_EQ(g.num_vertices(), 2u);
+  EXPECT_EQ(EdgePairs(g),
+            (std::vector<std::pair<VertexId, VertexId>>{{0, 1}}));
+  EXPECT_LT(g.HeapBytes(), 1024u);
+}
+
+/// A read-only stream buffer that cannot seek and hands out at most 3
+/// characters per refill, like a pipe.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string text) : text_(std::move(text)) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (next_ == text_.size()) return traits_type::eof();
+    const std::size_t count = std::min<std::size_t>(3, text_.size() - next_);
+    char* const begin = text_.data() + next_;
+    setg(begin, begin, begin + count);
+    next_ += count;
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string text_;
+  std::size_t next_ = 0;
+};
+
+TEST(SnapReader, ReadsStreamsThatCannotSeek) {
+  const Graph original = HolmeKim(300, 1500, 0.5, 9);
+  std::stringstream text;
+  WriteSnapEdgeList(original, text);
+  TrickleBuf buf(text.str());
+  std::istream in(&buf);
+  const Graph restored = ReadSnapEdgeList(in);
+  EXPECT_TRUE(std::ranges::equal(restored.offsets(), original.offsets()));
+  EXPECT_TRUE(std::ranges::equal(restored.adjacency(), original.adjacency()));
 }
 
 TEST(SnapRoundTrip, WriteThenReadPreservesGraph) {
