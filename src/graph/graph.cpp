@@ -92,7 +92,6 @@ Graph GraphBuilder::Build() && {
   Graph g;
   g.n_ = n_;
   g.offsets_.resize(static_cast<std::size_t>(n_) + 1);
-  g.offsets_[0] = 0;
   for (VertexId v = 0; v < n_; ++v) {
     g.offsets_[v + 1] = bound[v];
     g.max_degree_ = std::max(g.max_degree_, bound[v + 1] - bound[v]);

@@ -98,8 +98,8 @@ TEST(Graph, NeighborsAreSortedStrictlyIncreasing) {
 }
 
 TEST(Graph, RowsSortedWhenEdgesArriveDescendingReversedAndDuplicated) {
-  // Build() sorts the edge list once, globally; every row must come out
-  // sorted from that alone, whatever order the edges were added in.
+  // Build() never sorts; every row must come out sorted from its
+  // scatters alone, whatever order the edges were added in.
   constexpr VertexId kN = 40;
   GraphBuilder b(kN);
   std::vector<std::vector<VertexId>> expected(kN);
