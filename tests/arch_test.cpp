@@ -895,6 +895,20 @@ const PlanGoldenStats kPlanGoldenStats[] = {
      {"com-youtube", ReplacementPolicy::kRandom,
       {59752u, 277774u, 68798u, 5u, 75994u, 0u, 277774u},
       {277774u, 201780u, 75994u, 54867u, 75994u, 102543u, 277774u, 144792u}}},
+    // spread 64 over 64 sets: every slice index maps onto all the sets,
+    // so one row ordinal's run spans many residues j mod spread.
+    {256u, 64u, 0u,
+     {"com-youtube", ReplacementPolicy::kLru,
+      {59752u, 277774u, 115216u, 64u, 193253u, 0u, 277774u},
+      {277774u, 84521u, 193253u, 179531u, 193253u, 102543u, 277774u, 308469u}}},
+    {256u, 64u, 0u,
+     {"com-youtube", ReplacementPolicy::kFifo,
+      {59752u, 277774u, 115216u, 64u, 198769u, 0u, 277774u},
+      {277774u, 79005u, 198769u, 185047u, 198769u, 102543u, 277774u, 313985u}}},
+    {256u, 64u, 0u,
+     {"com-youtube", ReplacementPolicy::kRandom,
+      {59752u, 277774u, 115216u, 64u, 196962u, 0u, 277774u},
+      {277774u, 80812u, 196962u, 183240u, 196962u, 102543u, 277774u, 312178u}}},
     {256u, 0u, 16u,
      {"com-youtube", ReplacementPolicy::kLru,
       {59752u, 277774u, 35086u, 1u, 118486u, 1329u, 277774u},
