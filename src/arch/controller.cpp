@@ -43,7 +43,7 @@ ExecStats Controller::RunRows(const bit::SlicedMatrix& matrix,
 
 // One work item = one valid slice pair of one edge.
 struct Controller::WorkItem {
-  std::uint64_t order_key;     // (j mod spread) << 32 | j
+  std::uint32_t residue;       // j mod spread: the set within k
   std::uint32_t col_vertex;    // j
   std::uint32_t slice_index;   // k
   std::uint32_t row_ordinal;   // ordinal of RiSk within row i
@@ -54,11 +54,28 @@ struct Controller::WorkItem {
 // Per-row buffers, reused across the rows of one run.
 struct Controller::RowScratch {
   std::vector<WorkItem> work;                 // gather order
+  std::vector<WorkItem> by_residue;           // first counting pass
   std::vector<WorkItem> sorted;               // processing order
-  std::vector<std::uint32_t> bucket;          // counting sort, per ordinal
+  std::vector<std::uint32_t> bucket;          // counting sort cursors
   std::vector<std::uint32_t> row_edges;       // j per edge of this row
   std::vector<std::uint64_t> row_edge_count;  // per-edge BitCount
 };
+
+namespace {
+
+// Stable counting sort of `in` into `out` by key(item) in [0, keys):
+// O(in + keys). `bucket` is scratch.
+template <typename Item, typename Key>
+void CountingSort(const std::vector<Item>& in, std::size_t keys, Key key,
+                  std::vector<std::uint32_t>& bucket, std::vector<Item>& out) {
+  bucket.assign(keys + 1, 0);
+  for (const Item& item : in) ++bucket[key(item) + 1];
+  for (std::size_t a = 0; a < keys; ++a) bucket[a + 1] += bucket[a];
+  out.resize(in.size());
+  for (const Item& item : in) out[bucket[key(item)]++] = item;
+}
+
+}  // namespace
 
 void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
                                 std::uint32_t i, std::uint64_t spread,
@@ -68,42 +85,38 @@ void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
   const bit::SlicedStore& cols = matrix.cols();
   // Processing order: by slice index k (so each RiSk is staged once
   // per set group), then j mod spread (the set within k), then j. The
-  // walk gathers in (j, k) order, so a stable counting sort on the row
-  // ordinal (ordinals increase with k) yields (k, j); with spread > 1
-  // each k's run is then sorted by order_key. Each (j, k) occurs once
-  // per row, so the order is total.
-  const std::size_t row_slices = rows.SliceCount(i);
-  std::vector<std::uint32_t>& bucket = row.bucket;
-  bucket.assign(row_slices + 1, 0);
-  for (const WorkItem& item : row.work) ++bucket[item.row_ordinal + 1];
-  for (std::size_t a = 0; a < row_slices; ++a) bucket[a + 1] += bucket[a];
-  row.sorted.resize(row.work.size());
-  for (const WorkItem& item : row.work) {
-    row.sorted[bucket[item.row_ordinal]++] = item;  // bucket[a]: next slot
+  // walk gathers in increasing j, so two stable counting passes sort
+  // LSD-style: by residue j mod spread first (skipped when spread is
+  // 1), then by row ordinal (ordinals increase with k). That is
+  // O(items + spread + row slices) per row. Each (j, k) occurs once per
+  // row, so the order is total.
+  const std::vector<WorkItem>* gathered = &row.work;
+  if (spread > 1 && row.work.size() > 1) {
+    // Residues are below min(spread, n) since j < n.
+    const auto residues = static_cast<std::size_t>(
+        std::min<std::uint64_t>(spread, matrix.num_vertices()));
+    CountingSort(
+        row.work, residues, [](const WorkItem& item) { return item.residue; },
+        row.bucket, row.by_residue);
+    gathered = &row.by_residue;
   }
-  if (spread > 1) {
-    // bucket[a] is now the end of run a (and the begin of run a + 1).
-    auto begin = row.sorted.begin();
-    for (std::size_t a = 0; a < row_slices; ++a) {
-      const auto end = row.sorted.begin() + bucket[a];
-      std::sort(begin, end, [](const WorkItem& x, const WorkItem& y) {
-        return x.order_key < y.order_key;
-      });
-      begin = end;
-    }
-  }
+  CountingSort(
+      *gathered, rows.SliceCount(i),
+      [](const WorkItem& item) { return item.row_ordinal; }, row.bucket,
+      row.sorted);
   if (sink != nullptr) {
     row.row_edge_count.assign(row.row_edges.size(), 0);
   }
 
   bool first = true;
   std::uint32_t group_k = 0;
-  std::uint64_t group_residue = 0;
+  std::uint32_t group_residue = 0;
   std::uint64_t set = 0;
   pim::SliceAddr staging;
+  pim::SliceAddr col_addr;
   for (const WorkItem& item : row.sorted) {
-    const std::uint64_t residue = item.order_key >> 32;
-    if (first || item.slice_index != group_k || residue != group_residue) {
+    if (first || item.slice_index != group_k ||
+        item.residue != group_residue) {
       // A new (k, j mod spread) group: one set for all of it. Stage the
       // row slice there unless the previous group left it in place.
       // The slice index is part of the staging key: two distinct k can
@@ -120,13 +133,15 @@ void Controller::ProcessRowWork(const bit::SlicedMatrix& matrix,
       first = false;
       set = group_set;
       group_k = item.slice_index;
-      group_residue = residue;
+      group_residue = item.residue;
+      col_addr = staging;
     }
-    // Column slice: cache lookup, fill on miss.
+    // Column slice: cache lookup, fill on miss. Its way shares the
+    // staging row's subarray and column group (mapper.h).
     const std::uint64_t tag =
         cols.GlobalOrdinal(item.col_vertex, item.col_ordinal);
     const AccessResult access = cache_.Access(set, tag);
-    const pim::SliceAddr col_addr = mapper_.WayAddr(set, access.way);
+    col_addr.row = SliceMapper::WayRow(access.way);
     if (!access.hit) {
       array_.WriteSlice(col_addr,
                         cols.SliceWords(item.col_vertex, item.col_ordinal));
@@ -216,7 +231,7 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
                            std::uint32_t col_end, bool hub_lane) {
     row.work.clear();
     row.row_edges.clear();
-    std::uint64_t residue = 0;  // j mod spread of the current arc
+    std::uint32_t residue = 0;  // j mod spread of the current arc
     walker.Walk(
         i, col_begin, col_end,
         [&](std::uint32_t j) {
@@ -225,12 +240,12 @@ ExecStats Controller::RunPlan(const bit::SlicedMatrix& matrix,
           }
           ++stats.edges_processed;
           row.row_edges.push_back(j);
-          residue = j % spread;
+          residue = static_cast<std::uint32_t>(j % spread);
           return true;
         },
         [&](std::uint32_t j, std::uint32_t k, std::size_t ra, std::size_t cb) {
           row.work.push_back(WorkItem{
-              (residue << 32) | j, j, k, static_cast<std::uint32_t>(ra),
+              residue, j, k, static_cast<std::uint32_t>(ra),
               static_cast<std::uint32_t>(cb),
               static_cast<std::uint32_t>(row.row_edges.size() - 1)});
         });

@@ -73,7 +73,14 @@ class SliceMapper {
   /// Physical address of cache way w of a set (w in [0, ways_per_set)).
   [[nodiscard]] pim::SliceAddr WayAddr(std::uint64_t set,
                                        std::uint32_t way) const noexcept {
-    return MakeAddr(set, /*row=*/way + 1);
+    return MakeAddr(set, WayRow(way));
+  }
+
+  /// Subarray row of cache way w: the row below the staging row 0. A
+  /// way's address is its set's staging address with this row.
+  [[nodiscard]] static constexpr std::uint32_t WayRow(
+      std::uint32_t way) noexcept {
+    return way + 1;
   }
 
  private:

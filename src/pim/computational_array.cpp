@@ -4,25 +4,34 @@
 #include <stdexcept>
 
 namespace tcim::pim {
+namespace {
+
+// Runs before any member initializer divides by a config field.
+nvsim::ArrayConfig Validated(const nvsim::ArrayConfig& config) {
+  config.Validate();
+  return config;
+}
+
+}  // namespace
 
 ComputationalArray::ComputationalArray(const nvsim::ArrayConfig& config,
                                        const BitCounterParams& counter_params)
-    : config_(config),
-      words_per_slice_((config.access_width_bits + 63) / 64),
-      num_subarrays_(config.total_subarrays()),
-      slots_per_subarray_(static_cast<std::uint64_t>(config.subarray_rows) *
-                          config.slices_per_row()),
+    : config_(Validated(config)),
+      words_per_slice_((config_.access_width_bits + 63) / 64),
+      slices_per_row_(config_.slices_per_row()),
+      num_subarrays_(config_.total_subarrays()),
+      slots_per_subarray_(static_cast<std::uint64_t>(config_.subarray_rows) *
+                          slices_per_row_),
       total_slots_(num_subarrays_ * slots_per_subarray_),
-      counter_(counter_params) {
-  config_.Validate();
-  storage_.assign(total_slots_ * words_per_slice_, 0);
-}
+      blocks_(num_subarrays_ * slices_per_row_),
+      zero_slice_(words_per_slice_, 0),
+      counter_(counter_params) {}
 
 std::uint64_t ComputationalArray::FlatIndex(const SliceAddr& addr) const {
   CheckAddr(addr);
   return (static_cast<std::uint64_t>(addr.subarray) * config_.subarray_rows +
           addr.row) *
-             config_.slices_per_row() +
+             slices_per_row_ +
          addr.col_group;
 }
 
@@ -31,9 +40,8 @@ SliceAddr ComputationalArray::AddrOf(std::uint64_t flat_index) const {
     throw std::out_of_range("ComputationalArray: flat index out of range");
   }
   SliceAddr addr;
-  addr.col_group =
-      static_cast<std::uint32_t>(flat_index % config_.slices_per_row());
-  const std::uint64_t row_major = flat_index / config_.slices_per_row();
+  addr.col_group = static_cast<std::uint32_t>(flat_index % slices_per_row_);
+  const std::uint64_t row_major = flat_index / slices_per_row_;
   addr.row = static_cast<std::uint32_t>(row_major % config_.subarray_rows);
   addr.subarray =
       static_cast<std::uint32_t>(row_major / config_.subarray_rows);
@@ -43,13 +51,20 @@ SliceAddr ComputationalArray::AddrOf(std::uint64_t flat_index) const {
 void ComputationalArray::CheckAddr(const SliceAddr& addr) const {
   if (addr.subarray >= num_subarrays_ ||
       addr.row >= config_.subarray_rows ||
-      addr.col_group >= config_.slices_per_row()) {
+      addr.col_group >= slices_per_row_) {
     throw std::out_of_range("ComputationalArray: address out of range");
   }
 }
 
-std::span<std::uint64_t> ComputationalArray::SlotWords(std::uint64_t flat) {
-  return {storage_.data() + flat * words_per_slice_, words_per_slice_};
+std::uint64_t ComputationalArray::HeapBytes() const noexcept {
+  std::uint64_t bytes =
+      blocks_.capacity() * sizeof(std::vector<std::uint64_t>) +
+      zero_slice_.capacity() * sizeof(std::uint64_t) +
+      trace_.capacity() * sizeof(TraceEntry);
+  for (const std::vector<std::uint64_t>& block : blocks_) {
+    bytes += block.capacity() * sizeof(std::uint64_t);
+  }
+  return bytes;
 }
 
 void ComputationalArray::EnableTrace(std::size_t max_entries) {
@@ -86,19 +101,29 @@ void ComputationalArray::WriteSlice(const SliceAddr& addr,
     throw std::invalid_argument(
         "ComputationalArray::WriteSlice: data beyond access width");
   }
-  const std::uint64_t flat = FlatIndex(addr);
-  auto dst = SlotWords(flat);
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = words[i];
+  CheckAddr(addr);
+  std::vector<std::uint64_t>& block = BlockOf(addr);
+  const std::size_t end = (std::size_t{addr.row} + 1) * words_per_slice_;
+  if (block.size() < end) {
+    // Grow by whole rows, never past the subarray's last row.
+    if (block.capacity() < end) {
+      block.reserve(std::min(std::max(end, 2 * block.capacity()),
+                             std::size_t{config_.subarray_rows} *
+                                 words_per_slice_));
+    }
+    block.resize(end, 0);
+  }
+  std::copy(words.begin(), words.end(), block.begin() + (end - words.size()));
   ++counts_.writes;
   Record(TraceEntry::Op::kWrite, addr);
 }
 
 std::span<const std::uint64_t> ComputationalArray::ReadSlice(
     const SliceAddr& addr) {
-  const std::uint64_t flat = FlatIndex(addr);
+  CheckAddr(addr);
   ++counts_.reads;
   Record(TraceEntry::Op::kRead, addr);
-  return SlotWords(flat);
+  return {RowWords(BlockOf(addr), addr.row), words_per_slice_};
 }
 
 std::uint64_t ComputationalArray::AndPopcount(const SliceAddr& a,
@@ -116,8 +141,11 @@ std::uint64_t ComputationalArray::AndPopcount(const SliceAddr& a,
     throw std::invalid_argument(
         "ComputationalArray::AND: operands must be in different rows");
   }
-  const auto wa = SlotWords(FlatIndex(a));
-  const auto wb = SlotWords(FlatIndex(b));
+  CheckAddr(a);
+  CheckAddr(b);
+  const std::vector<std::uint64_t>& block = BlockOf(a);
+  const std::uint64_t* wa = RowWords(block, a.row);
+  const std::uint64_t* wb = RowWords(block, b.row);
   ++counts_.ands;
   counts_.bitcount_words += words_per_slice_;
   Record(TraceEntry::Op::kAnd, a, b);
@@ -136,8 +164,11 @@ std::vector<std::uint64_t> ComputationalArray::AndSlices(const SliceAddr& a,
         "ComputationalArray::AndSlices: operand placement violates "
         "multi-row activation constraints");
   }
-  const auto wa = SlotWords(FlatIndex(a));
-  const auto wb = SlotWords(FlatIndex(b));
+  CheckAddr(a);
+  CheckAddr(b);
+  const std::vector<std::uint64_t>& block = BlockOf(a);
+  const std::uint64_t* wa = RowWords(block, a.row);
+  const std::uint64_t* wb = RowWords(block, b.row);
   ++counts_.ands;
   std::vector<std::uint64_t> out(words_per_slice_);
   for (std::uint32_t i = 0; i < words_per_slice_; ++i) {

@@ -20,6 +20,14 @@
 // counters used by core::PerfModel to derive time/energy from the
 // NVSim per-op costs).
 //
+// Storage is sized by what the array holds, not by its capacity: each
+// (subarray, column group) — one slice-cache set, arch/mapper.h — owns
+// one block of rows that grows by whole rows up to the highest row ever
+// written into it. A slot that was never written reads as zero and
+// allocates nothing. The controller fills a set's staging row (row 0)
+// and its cache ways in index order (arch/slice_cache.h), so a block
+// holds the staging row plus the resident ways, not the whole subarray.
+//
 // Layer: §6 pim — see docs/ARCHITECTURE.md. This simulator is
 // functional only: it carries no time or energy. Its op counts are
 // priced with nvsim::ArrayPerf per-op costs by core::PerfModel.
@@ -64,7 +72,8 @@ struct TraceEntry {
 class ComputationalArray {
  public:
   /// Geometry comes from the NVSim-level config; slice width =
-  /// access_width_bits.
+  /// access_width_bits. Throws std::invalid_argument on an invalid
+  /// config (nvsim::ArrayConfig::Validate).
   explicit ComputationalArray(const nvsim::ArrayConfig& config,
                               const BitCounterParams& counter_params = {});
 
@@ -84,7 +93,7 @@ class ComputationalArray {
     return num_subarrays_;
   }
   [[nodiscard]] std::uint32_t slices_per_row() const noexcept {
-    return config_.slices_per_row();
+    return slices_per_row_;
   }
 
   /// Flat slot id <-> physical address (round-trip tested).
@@ -95,7 +104,9 @@ class ComputationalArray {
   /// the access width must be zero) into the slot.
   void WriteSlice(const SliceAddr& addr, std::span<const std::uint64_t> words);
 
-  /// READ: returns the stored words.
+  /// READ: returns the stored words (zeros for a never-written slot).
+  /// The span stays valid until the next WriteSlice into the same
+  /// (subarray, column group): a write may grow that block.
   [[nodiscard]] std::span<const std::uint64_t> ReadSlice(
       const SliceAddr& addr);
 
@@ -122,6 +133,10 @@ class ComputationalArray {
     return counter_.total();
   }
 
+  /// Heap footprint of the stored slices, the block table and the
+  /// trace (diagnostics).
+  [[nodiscard]] std::uint64_t HeapBytes() const noexcept;
+
   void ResetCounters() noexcept {
     counts_ = {};
     counter_.Reset();
@@ -144,14 +159,28 @@ class ComputationalArray {
   void Record(TraceEntry::Op op, const SliceAddr& a,
               const SliceAddr& b = {});
   void CheckAddr(const SliceAddr& addr) const;
-  [[nodiscard]] std::span<std::uint64_t> SlotWords(std::uint64_t flat);
+  /// Block of the address's (subarray, column group); addr checked.
+  [[nodiscard]] std::vector<std::uint64_t>& BlockOf(const SliceAddr& addr) {
+    return blocks_[static_cast<std::uint64_t>(addr.subarray) *
+                       slices_per_row_ + addr.col_group];
+  }
+  /// Words of `row` in `block`, or the zero slice past its end.
+  [[nodiscard]] const std::uint64_t* RowWords(
+      const std::vector<std::uint64_t>& block, std::uint32_t row) const {
+    const std::size_t offset = std::size_t{row} * words_per_slice_;
+    return offset < block.size() ? block.data() + offset : zero_slice_.data();
+  }
 
-  nvsim::ArrayConfig config_;
+  nvsim::ArrayConfig config_;  // validated before the members below
   std::uint32_t words_per_slice_;
+  std::uint32_t slices_per_row_;
   std::uint64_t num_subarrays_;
   std::uint64_t slots_per_subarray_;
   std::uint64_t total_slots_;
-  std::vector<std::uint64_t> storage_;  // total_slots_ * words_per_slice_
+  /// One row-major block per (subarray, column group), rows
+  /// [0, highest written row] of words_per_slice_ words each.
+  std::vector<std::vector<std::uint64_t>> blocks_;
+  std::vector<std::uint64_t> zero_slice_;  // what unwritten slots read
   ArrayOpCounts counts_;
   BitCounter counter_;
   bool tracing_ = false;

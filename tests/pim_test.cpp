@@ -105,6 +105,92 @@ TEST(ComputationalArray, FreshSlotsReadZero) {
   EXPECT_EQ(read[0], 0u);
 }
 
+TEST(ComputationalArray, InvalidConfigsThrowBeforeAnyDivision) {
+  // Both fields are divisors of the geometry (slices per row, subarray
+  // bits): the config must be rejected before they are used.
+  nvsim::ArrayConfig zero_width = SmallConfig();
+  zero_width.access_width_bits = 0;
+  EXPECT_THROW(ComputationalArray{zero_width}, std::invalid_argument);
+  nvsim::ArrayConfig zero_rows = SmallConfig();
+  zero_rows.subarray_rows = 0;
+  EXPECT_THROW(ComputationalArray{zero_rows}, std::invalid_argument);
+}
+
+TEST(ComputationalArray, UnwrittenRowsAroundAWrittenRowReadZero) {
+  ComputationalArray array(SmallConfig());
+  const auto at = [](std::uint32_t row) {
+    return SliceAddr{.subarray = 4, .row = row, .col_group = 3};
+  };
+  array.WriteSlice(at(5), std::vector<std::uint64_t>{0xABCDULL});
+  for (std::uint32_t row = 0; row < 5; ++row) {
+    EXPECT_EQ(array.ReadSlice(at(row))[0], 0u) << "row " << row;
+  }
+  EXPECT_EQ(array.ReadSlice(at(6))[0], 0u);
+  EXPECT_EQ(array.ReadSlice(at(511))[0], 0u);
+  // Growing the block past row 5 keeps it and zero-fills the gap.
+  array.WriteSlice(at(40), std::vector<std::uint64_t>{0x1234ULL});
+  EXPECT_EQ(array.ReadSlice(at(5))[0], 0xABCDULL);
+  EXPECT_EQ(array.ReadSlice(at(39))[0], 0u);
+  EXPECT_EQ(array.ReadSlice(at(40))[0], 0x1234ULL);
+  EXPECT_EQ(array.ReadSlice(at(41))[0], 0u);
+  // A rewrite below the highest row overwrites in place.
+  array.WriteSlice(at(5), std::vector<std::uint64_t>{0x77ULL});
+  EXPECT_EQ(array.ReadSlice(at(5))[0], 0x77ULL);
+  EXPECT_EQ(array.ReadSlice(at(40))[0], 0x1234ULL);
+}
+
+TEST(ComputationalArray, AndWithANeverWrittenOperandCountsAndReturnsZero) {
+  nvsim::ArrayConfig c = SmallConfig();
+  c.access_width_bits = 128;  // two bit-counter words per AND
+  ComputationalArray array(c);
+  const SliceAddr written{.subarray = 2, .row = 0, .col_group = 1};
+  const SliceAddr unwritten{.subarray = 2, .row = 300, .col_group = 1};
+  array.WriteSlice(written, std::vector<std::uint64_t>{~0ULL, ~0ULL});
+  EXPECT_EQ(array.AndPopcount(written, unwritten), 0u);
+  EXPECT_EQ(array.AndPopcount(unwritten, written), 0u);
+  // Both operands unwritten: the block was never allocated.
+  const SliceAddr empty_a{.subarray = 9, .row = 1, .col_group = 0};
+  const SliceAddr empty_b{.subarray = 9, .row = 2, .col_group = 0};
+  EXPECT_EQ(array.AndPopcount(empty_a, empty_b), 0u);
+  EXPECT_EQ(array.counts().ands, 3u);
+  EXPECT_EQ(array.counts().bitcount_words, 6u);
+  EXPECT_EQ(array.bit_counter().words_processed(), 6u);
+  EXPECT_EQ(array.accumulated_count(), 0u);
+}
+
+TEST(ComputationalArray, WritesStayInTheirColumnGroupAndSubarray) {
+  ComputationalArray array(SmallConfig());
+  const SliceAddr target{.subarray = 7, .row = 12, .col_group = 4};
+  array.WriteSlice(target, std::vector<std::uint64_t>{~0ULL});
+  for (std::uint32_t sub = 0; sub < 32; ++sub) {
+    for (std::uint32_t col = 0; col < 8; ++col) {
+      for (const std::uint32_t row : {0u, 11u, 12u, 13u}) {
+        const SliceAddr addr{.subarray = sub, .row = row, .col_group = col};
+        EXPECT_EQ(array.ReadSlice(addr)[0], addr == target ? ~0ULL : 0ULL)
+            << sub << "/" << row << "/" << col;
+      }
+    }
+  }
+}
+
+TEST(ComputationalArray, HeapHoldsWhatWasWrittenNotTheCapacity) {
+  nvsim::ArrayConfig paper;  // 16 MiB: 512 subarrays x 8 column groups
+  ComputationalArray array(paper);
+  ASSERT_EQ(array.total_slots() * array.words_per_slice() * 8,
+            paper.capacity_bytes);
+  const std::uint64_t fresh = array.HeapBytes();
+  EXPECT_LT(fresh, 1ULL << 20);
+  // Cache-like fills: the staging row and a few ways of many sets.
+  util::Xoshiro256 rng(4);
+  for (std::uint32_t w = 0; w < 400; ++w) {
+    const SliceAddr addr{.subarray = w % 512, .row = w / 64,
+                         .col_group = w % 8};
+    array.WriteSlice(addr, std::vector<std::uint64_t>{rng()});
+  }
+  EXPECT_GT(array.HeapBytes(), fresh);
+  EXPECT_LT(array.HeapBytes(), 1ULL << 20);
+}
+
 TEST(ComputationalArray, AndPopcountComputesIntersection) {
   ComputationalArray array(SmallConfig());
   const SliceAddr a{.subarray = 1, .row = 0, .col_group = 2};
