@@ -120,9 +120,10 @@ Graph VertexRelabeling::Apply(const Graph& g) const {
   // The old rows with every neighbor renamed. It is allocated ahead of
   // the output rows on purpose. With the rows allocated first, glibc's
   // best fit put them in a freed block of their exact size that the
-  // offline pipeline's later 16 MiB simulator array needed: the
-  // e2ebench social-youtube peak RSS rose from 39 to 46 MiB after ~23
-  // runs. The graph built is the same either way.
+  // offline pipeline's later simulator array needed while it still
+  // allocated its full 16 MiB capacity: the e2ebench social-youtube
+  // peak RSS rose from 39 to 46 MiB after ~23 runs. The graph built is
+  // the same either way.
   std::vector<VertexId> renamed(adjacency.size());
   Graph out;
   out.n_ = size();

@@ -145,9 +145,9 @@ std::uint32_t ThreadCount(const BankPoolConfig& config) {
   }
   if (config.num_threads != 0) return config.num_threads;
   // Default: one thread per bank, capped at the hardware concurrency.
-  // Each in-flight shard instantiates a full configured-capacity
-  // functional array + cache bookkeeping, so the cap also bounds peak
-  // simulation memory at O(threads x array capacity).
+  // Each in-flight shard instantiates a functional array (it grows up
+  // to the configured capacity) + cache bookkeeping, so the cap also
+  // bounds peak simulation memory at O(threads x array capacity).
   const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   return std::min(config.num_banks, hw);
 }
